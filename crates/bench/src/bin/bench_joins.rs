@@ -17,7 +17,7 @@
 //!
 //! Usage: `bench_joins [--scale tiny|mini|full] [--dataset <label>]
 //! [--runs N] [--pool N] [--cache-cap N] [--trie-cache-mb N]
-//! [--split | --no-split] [--split-depth N|max] [--cache-adapt]
+//! [--cache-adapt]
 //! [--row-limit N] [--deadline-ms N]
 //! [--store PATH] [--mutate-batch N] [--out PATH] [--no-gate]`
 //!
@@ -27,20 +27,10 @@
 //! configuration. Artifacts record the capacity, and medians are only
 //! compared between identical configurations.
 //!
-//! `--split` / `--no-split` pins dynamic shard splitting for the
-//! parallel rows (default: the engines' `TRIEJAX_SPLIT` resolution).
-//! Splitting runs record `"split": true` in the artifact and its config
-//! signature; non-splitting runs omit the field, so artifacts from
-//! before the knob existed still gate against non-splitting runs.
-//!
-//! `--split-depth N|max` pins how deep a splitting shard may donate
-//! (`0` = root-only, `max` = uncapped; default: the engines'
-//! `TRIEJAX_SPLIT_DEPTH` resolution) and `--cache-adapt` runs the
-//! `parctj` rows with the cost-based adaptive cache policy (default:
-//! the engines' `TRIEJAX_CACHE_ADAPT` resolution). Both are recorded in
-//! the artifact and its config signature only when non-default
-//! (`split_depth` > 0 / adaptive on), so pre-knob artifacts still gate
-//! against default runs.
+//! `--cache-adapt` runs the `parctj` rows with the cost-based adaptive
+//! cache policy (default: the engines' `TRIEJAX_CACHE_ADAPT`
+//! resolution). It is recorded in the artifact and its config signature
+//! only when on, so pre-knob artifacts still gate against default runs.
 //!
 //! `--row-limit N` / `--deadline-ms N` put the parallel rows under a
 //! query budget, timing cancellation (time-to-first-N-rows /
@@ -162,8 +152,8 @@ fn field_num(line: &str, key: &str) -> Option<u128> {
     digits.parse().ok()
 }
 
-/// `true` when the artifact recorded `"key": true` (the field is only
-/// written for splitting runs, so absent means `false`).
+/// `true` when the artifact recorded `"key": true` (boolean fields are
+/// only written when on, so absent means `false`).
 fn field_bool(text: &str, key: &str) -> bool {
     text.contains(&format!("\"{key}\": true"))
 }
@@ -178,8 +168,6 @@ struct ConfigSig {
     pool: Option<u128>,
     cache_cap: Option<u128>,
     trie_cache_mb: Option<u128>,
-    split: bool,
-    split_depth: Option<u128>,
     cache_adapt: bool,
     row_limit: Option<u128>,
     deadline_ms: Option<u128>,
@@ -195,8 +183,6 @@ fn config_signature(text: &str) -> ConfigSig {
         pool: field_num(text, "pool"),
         cache_cap: field_num(text, "cache_cap"),
         trie_cache_mb: field_num(text, "trie_cache_mb"),
-        split: field_bool(text, "split"),
-        split_depth: field_num(text, "split_depth"),
         cache_adapt: field_bool(text, "cache_adapt"),
         row_limit: field_num(text, "row_limit"),
         deadline_ms: field_num(text, "deadline_ms"),
@@ -248,7 +234,6 @@ fn store_open_samples(
     plan: &CompiledQuery,
     catalog: &Catalog,
     pool: Option<usize>,
-    split: bool,
 ) -> (u128, u128, u128, u64) {
     let mut samples: Vec<u128> = Vec::with_capacity(runs);
     let mut hits = 0u64;
@@ -262,7 +247,6 @@ fn store_open_samples(
         let mut sink = CountSink::default();
         let stats = pool
             .map_or_else(ParLftj::new, ParLftj::with_pool)
-            .with_split(split)
             .with_trie_cache(cache)
             .run_tallied::<NoTally>(plan, catalog, &mut sink)
             .expect("store rows run ungoverned");
@@ -309,7 +293,6 @@ fn mutation_samples(
     catalog: &Catalog,
     batch_n: usize,
     pool: Option<usize>,
-    split: bool,
 ) -> Vec<(&'static str, u128, u128, u128, u64)> {
     let (inserts, deletes) = mutation_batch(catalog.get("G").expect("benchmark relation"), batch_n);
     let session_with = |ratio: f64| {
@@ -350,7 +333,6 @@ fn mutation_samples(
     let (median_ns, min_ns, max_ns, results) = time_runs(runs, || {
         let mut sink = CountSink::default();
         pool.map_or_else(ParLftj::new, ParLftj::with_pool)
-            .with_split(split)
             .run_tallied_with::<NoTally>(plan, &state_catalog, &state_deltas, &mut sink)
             .expect("mutation rows run ungoverned");
         sink.count()
@@ -387,8 +369,6 @@ fn main() {
     let mut pool: Option<usize> = None;
     let mut cache_cap: Option<usize> = None;
     let mut trie_cache_mb: Option<u64> = None;
-    let mut split: Option<bool> = None;
-    let mut split_depth: Option<usize> = None;
     let mut cache_adapt: Option<bool> = None;
     let mut row_limit: Option<u64> = None;
     let mut deadline_ms: Option<u64> = None;
@@ -432,15 +412,6 @@ fn main() {
                 i += 1;
                 trie_cache_mb = Some(args[i].parse().expect("--trie-cache-mb takes a number"));
             }
-            "--split" => split = Some(true),
-            "--no-split" => split = Some(false),
-            "--split-depth" => {
-                i += 1;
-                split_depth = Some(match args[i].as_str() {
-                    "max" => usize::MAX,
-                    n => n.parse().expect("--split-depth takes a number or 'max'"),
-                });
-            }
             "--cache-adapt" => cache_adapt = Some(true),
             "--row-limit" => {
                 i += 1;
@@ -481,15 +452,9 @@ fn main() {
     // env-capped run would signature-match (and gate against) uncapped
     // baselines.
     let cache_cap = cache_cap.or_else(|| ParCtj::new().effective_config().max_entries);
-    // Same resolution for the split knob: pin the engines' own
-    // `TRIEJAX_SPLIT` default explicitly so the measured schedule is
-    // always the recorded one.
-    let split = split.unwrap_or_else(|| ParLftj::new().effective_split());
-    // And for the depth cap and the adaptive cache policy: resolve the
-    // `TRIEJAX_SPLIT_DEPTH` / `TRIEJAX_CACHE_ADAPT` defaults through the
-    // engines and pin them, so the measured schedule and cache policy are
-    // always the recorded ones.
-    let split_depth = split_depth.unwrap_or_else(|| ParLftj::new().effective_split_depth());
+    // Same resolution for the adaptive cache policy: resolve the
+    // `TRIEJAX_CACHE_ADAPT` default through the engine and pin it, so the
+    // measured cache policy is always the recorded one.
     let cache_adapt = cache_adapt.unwrap_or_else(|| ParCtj::new().effective_config().adaptive);
     // The trie cache is flag-only: without `--trie-cache-mb` (or with 0)
     // the parallel rows run with the cache pinned *off* — an ambient
@@ -528,11 +493,7 @@ fn main() {
         None => engine.without_trie_cache(),
     };
     let par_lftj = || {
-        let mut engine = pin_trie_cache(
-            pool.map_or_else(ParLftj::new, ParLftj::with_pool)
-                .with_split(split)
-                .with_split_depth(split_depth),
-        );
+        let mut engine = pin_trie_cache(pool.map_or_else(ParLftj::new, ParLftj::with_pool));
         if let Some(n) = row_limit {
             engine = engine.with_row_limit(n);
         }
@@ -544,8 +505,6 @@ fn main() {
     let par_ctj = || {
         let mut engine = pin_trie_cache_ctj(
             pool.map_or_else(ParCtj::new, ParCtj::with_pool)
-                .with_split(split)
-                .with_split_depth(split_depth)
                 .with_cache_adapt(cache_adapt),
         );
         if let Some(cap) = cache_cap {
@@ -575,7 +534,6 @@ fn main() {
         let mut sink = CountSink::default();
         let outcome = pool
             .map_or_else(ParLftj::new, ParLftj::with_pool)
-            .with_split(split)
             .with_deadline(Duration::ZERO)
             .run_tallied::<Counting>(&plan, &catalog, &mut sink);
         match outcome {
@@ -706,7 +664,6 @@ fn main() {
         let (cold_median, cold_min, cold_max, cold_hits) =
             build_phase_samples(runs, &plan, &catalog, || {
                 pool.map_or_else(ParLftj::new, ParLftj::with_pool)
-                    .with_split(split)
                     .without_trie_cache()
             });
         println!(
@@ -727,13 +684,11 @@ fn main() {
         if let Some(cache) = &trie_cache {
             build_phase_samples(1, &plan, &catalog, || {
                 pool.map_or_else(ParLftj::new, ParLftj::with_pool)
-                    .with_split(split)
                     .with_trie_cache(cache.clone())
             });
             let (median_ns, min_ns, max_ns, hits) =
                 build_phase_samples(runs, &plan, &catalog, || {
                     pool.map_or_else(ParLftj::new, ParLftj::with_pool)
-                        .with_split(split)
                         .with_trie_cache(cache.clone())
                 });
             assert!(hits > 0, "a primed cache must serve the warm build row");
@@ -756,7 +711,7 @@ fn main() {
         }
         if let Some(path) = &store_path {
             let (median_ns, min_ns, max_ns, hits) =
-                store_open_samples(runs, path, &plan, &catalog, pool, split);
+                store_open_samples(runs, path, &plan, &catalog, pool);
             println!(
                 "{:>8} {:<18} median {:>12} ns  ({} hits)",
                 pattern.label(),
@@ -775,7 +730,7 @@ fn main() {
         }
         if let Some(n) = mutate_batch {
             for (engine, median_ns, min_ns, max_ns, results) in
-                mutation_samples(runs, &plan, &catalog, n, pool, split)
+                mutation_samples(runs, &plan, &catalog, n, pool)
             {
                 println!(
                     "{:>8} {:<18} median {:>12} ns  ({} results)",
@@ -809,10 +764,6 @@ fn main() {
         // Signature-relevant only when the cache is actually on: `0`
         // measures the same thing as an absent flag.
         trie_cache_mb: trie_cache.as_ref().and(trie_cache_mb).map(u128::from),
-        split,
-        // Signature-relevant only when sub-root donation is actually on:
-        // a cap of 0 measures the same schedule as an absent knob.
-        split_depth: (split_depth > 0).then_some(split_depth as u128),
         cache_adapt,
         row_limit: row_limit.map(u128::from),
         deadline_ms: deadline_ms.map(u128::from),
@@ -823,7 +774,7 @@ fn main() {
         Vec::new()
     } else if config_signature(&previous_text) != current_sig {
         println!(
-            "previous {out_path} used a different dataset/scale/runs/pool/cache-cap/split/\
+            "previous {out_path} used a different dataset/scale/runs/pool/cache-cap/\
              budget configuration: skipping the regression gate"
         );
         Vec::new()
@@ -918,16 +869,8 @@ fn main() {
             json.push_str(&format!("  \"trie_cache_mb\": {mb},\n"));
         }
     }
-    // Likewise written only for splitting runs, so pre-knob artifacts
-    // still signature-match non-splitting runs.
-    if split {
-        json.push_str("  \"split\": true,\n");
-    }
-    // Written only when sub-root donation / the adaptive cache policy is
-    // on, so pre-knob artifacts still signature-match default runs.
-    if split_depth > 0 {
-        json.push_str(&format!("  \"split_depth\": {split_depth},\n"));
-    }
+    // Written only when the adaptive cache policy is on, so pre-knob
+    // artifacts still signature-match default runs.
     if cache_adapt {
         json.push_str("  \"cache_adapt\": true,\n");
     }

@@ -4,15 +4,15 @@
 //! A [`RunBudget`] is the shared governance state of one query run:
 //! a sticky cancellation flag (first tripped reason wins), an optional
 //! wall-clock deadline, an optional result-row quota, and an optional
-//! intermediate-tuple budget. It is carried as an `Arc` through the pool,
-//! the split controllers, and the merge drain, and polled at the natural
-//! boundaries of every engine loop.
+//! intermediate-tuple budget. It is carried as an `Arc` through the pool
+//! and the merge drain, and polled at the natural boundaries of every
+//! engine loop.
 //!
 //! Engines stay zero-cost when un-governed through the [`Budget`] trait:
 //! a kernel generic over `B: Budget` monomorphizes with [`NoBudget`] into
 //! exactly the code it had before budgets existed (every check is an
-//! inlined constant), mirroring the `NoTally`/`NoSplit` pattern used for
-//! instrumentation and splitting. Governed runs use a [`BudgetHandle`],
+//! inlined constant), mirroring the `NoTally` pattern used for
+//! instrumentation. Governed runs use a [`BudgetHandle`],
 //! whose hot path is a single relaxed-ish atomic load with a periodic
 //! deadline/external refresh.
 //!

@@ -1,18 +1,15 @@
 //! Deterministic fault injection for the parallel runtime.
 //!
 //! Compiled only under `cfg(test)` or the `faults` cargo feature, this
-//! module lets tests force panics, delays, and failed split handoffs at
-//! precise points of a pool run: an installed [`FaultPlan`] matches
+//! module lets tests force panics and delays at precise points of a pool
+//! run: an installed [`FaultPlan`] matches
 //! runtime events by `(worker, event, ordinal)` and fires each matching
 //! rule exactly once. Plans can be written out explicitly or derived from
 //! a seed ([`FaultPlan::from_seed`]), so a failing schedule replays
 //! exactly from its seed alone.
 //!
-//! The instrumented sites (see [`FaultEvent`]) call [`fire`] — or
-//! [`on_event`] where the site needs to apply the action itself, such as
-//! the split handoff, which must close its freshly opened merge lane
-//! before panicking. With no plan installed every hook is a single
-//! mutex-guarded `Option` check, and in non-test builds without the
+//! The instrumented sites (see [`FaultEvent`]) call [`fire`]. With no
+//! plan installed every hook is a single mutex-guarded `Option` check, and in non-test builds without the
 //! `faults` feature the hooks do not exist at all.
 //!
 //! Installation is process-global and serialized: [`install`] holds a
@@ -32,9 +29,6 @@ pub enum FaultEvent {
     TaskStart,
     /// A worker steals a task from a sibling's queue.
     Steal,
-    /// A splitting task hands its range tail off: after the new merge
-    /// lane is opened, before the tail task is spawned.
-    SplitHandoff,
     /// A worker is about to publish a computed entry into a shared cache.
     CacheInsert,
     /// A producer is about to push a batch into an ordered merge lane.
@@ -56,12 +50,8 @@ pub enum FaultAction {
     /// `"injected fault"`).
     Panic,
     /// Sleep for the given number of milliseconds — widens race windows
-    /// (e.g. an in-flight handoff) deterministically.
+    /// (e.g. a contended cache insert) deterministically.
     Delay(u64),
-    /// Abort a split handoff: the handoff site closes the lane it just
-    /// opened, then panics. At non-handoff sites this acts like
-    /// [`Panic`](Self::Panic).
-    FailHandoff,
 }
 
 /// One injection rule: fire `action` on the `ordinal`-th occurrence
@@ -116,10 +106,10 @@ impl FaultPlan {
             } else {
                 None
             };
-            let action = match next() % 3 {
-                0 => FaultAction::Panic,
-                1 => FaultAction::Delay(1 + next() % 8),
-                _ => FaultAction::FailHandoff,
+            let action = if next() % 2 == 0 {
+                FaultAction::Panic
+            } else {
+                FaultAction::Delay(1 + next() % 8)
             };
             plan = plan.rule(FaultRule {
                 worker,
@@ -205,10 +195,8 @@ pub fn install(plan: FaultPlan) -> FaultGuard {
 }
 
 /// Reports `event` on the current thread and returns the matched action,
-/// if any, consuming the matching rule's once-latch. Sites that must
-/// apply the action themselves (the split handoff) use this; everything
-/// else goes through [`fire`].
-pub fn on_event(event: FaultEvent) -> Option<FaultAction> {
+/// if any, consuming the matching rule's once-latch.
+fn on_event(event: FaultEvent) -> Option<FaultAction> {
     let active = ACTIVE
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
@@ -233,12 +221,11 @@ pub fn on_event(event: FaultEvent) -> Option<FaultAction> {
     None
 }
 
-/// Reports `event` and applies the matched action in place: `Panic` and
-/// `FailHandoff` panic (payload contains `"injected fault"`), `Delay`
-/// sleeps. The default hook for sites with no site-specific cleanup.
+/// Reports `event` and applies the matched action in place: `Panic`
+/// panics (payload contains `"injected fault"`), `Delay` sleeps.
 pub fn fire(event: FaultEvent) {
     match on_event(event) {
-        Some(FaultAction::Panic | FaultAction::FailHandoff) => {
+        Some(FaultAction::Panic) => {
             panic!("injected fault: {event:?} on worker {}", current_worker());
         }
         Some(FaultAction::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
@@ -307,7 +294,7 @@ mod tests {
     fn seeded_plans_replay_exactly() {
         let events = [
             FaultEvent::TaskStart,
-            FaultEvent::SplitHandoff,
+            FaultEvent::Steal,
             FaultEvent::MergePush,
         ];
         for seed in 0..50u64 {

@@ -9,24 +9,16 @@
 //! of that execution model, shared by every parallel join engine:
 //!
 //! * [`WorkerPool`] — a reusable, scoped worker pool. A query's root-value
-//!   domain is split into contiguous *root ranges* (shards); each worker
-//!   owns a shard queue and **steals** from its siblings once its own
-//!   queue runs dry. On top of stealing, the pool's *dynamic* entry point
-//!   ([`WorkerPool::run_spawning`]) hands every task a [`Spawner`]: a
-//!   running task polls [`Spawner::should_split`] (relaxed loads of the
-//!   idle-worker and pending-task counts) and, the moment a sibling
-//!   parks idle with no handoff already waiting for it, carves off
-//!   the unvisited tail of its range as a freshly spawned task — true
-//!   spawn-on-match, not just static oversharding, so even a single
-//!   pathological shard rebalances instead of straggling.
+//!   domain is cut into many more contiguous *root ranges* (shards) than
+//!   there are workers; each worker owns a shard queue and **steals** from
+//!   its siblings once its own queue runs dry, so a heavy shard is one
+//!   unit of work among many rather than a worker's whole share.
 //! * [`OrderedMerge`] — an order-preserving merge of per-shard *batch*
 //!   streams. Workers flush small batches as they are produced (instead of
 //!   materializing each shard's full result), and a foreground drainer
 //!   forwards them downstream in shard order as soon as every earlier
 //!   shard has caught up. Memory is bounded by the out-of-order tail, not
-//!   by the result set. Lanes can be opened mid-run
-//!   ([`OrderedMerge::open_lane_after`]) so a split's tail streams out
-//!   exactly where the parent shard would have emitted it.
+//!   by the result set.
 //! * [`Striped`] — lock-striped shared state, the primitive behind
 //!   runtime structures *shared by* all workers (TrieJax's on-chip PJR
 //!   cache is shared by every lane; its software analogue, the shared
@@ -54,9 +46,9 @@
 //!   ([`BudgetHandle`]); a tripped budget winds the whole pool run down
 //!   cooperatively instead of abandoning merge lanes.
 //! * `faults` (tests / `--features faults` only) — a deterministic
-//!   fault-injection harness that forces panics, delays, and failed
-//!   split handoffs at precise `(worker, event, ordinal)` points, so the
-//!   no-hang/no-lost-lane properties above are *tested*, not assumed.
+//!   fault-injection harness that forces panics and delays at precise
+//!   `(worker, event, ordinal)` points, so the no-hang/no-lost-lane
+//!   properties above are *tested*, not assumed.
 //!
 //! # Example
 //!
@@ -90,11 +82,9 @@ mod budget;
 pub mod faults;
 mod merge;
 mod pool;
-mod split;
 mod striped;
 
 pub use budget::{Budget, BudgetHandle, CancelReason, CancelToken, NoBudget, RunBudget};
 pub use merge::OrderedMerge;
 pub use pool::{PoolStats, WorkerCtx, WorkerPool};
-pub use split::Spawner;
 pub use striped::{suggested_stripes, Striped};

@@ -16,15 +16,6 @@ use std::sync::{Condvar, Mutex};
 /// engines: the caller's thread, so the downstream sink needs no `Send`
 /// bound).
 ///
-/// Lanes can also be created *mid-run*:
-/// [`open_lane_after`](Self::open_lane_after) inserts a fresh lane
-/// immediately after an
-/// existing unfinished one in the drain order. This is the merge half of
-/// the pool's dynamic split protocol — a task that carves off the tail of
-/// its work range gives the tail a lane right after its own, so the
-/// handed-off results stream out exactly where they would have appeared
-/// had the task kept them.
-///
 /// # Example
 ///
 /// ```
@@ -52,86 +43,26 @@ struct MergeState<B> {
     pending: Vec<VecDeque<B>>,
     /// Per lane id: no further pushes will arrive.
     finished: Vec<bool>,
-    /// Lane ids in drain order. Initially the identity; split lanes are
-    /// inserted right after their parents.
-    order: Vec<usize>,
-    /// Position in `order` of the first lane not yet fully drained.
+    /// The first lane not yet fully drained.
     next: usize,
 }
 
 impl<B> OrderedMerge<B> {
-    /// Creates a merge over `lanes` producer lanes (drained in id order;
-    /// more lanes can be added later with
-    /// [`open_lane_after`](Self::open_lane_after)).
+    /// Creates a merge over `lanes` producer lanes, drained in id order.
     pub fn new(lanes: usize) -> Self {
         OrderedMerge {
             state: Mutex::new(MergeState {
                 pending: (0..lanes).map(|_| VecDeque::new()).collect(),
                 finished: vec![false; lanes],
-                order: (0..lanes).collect(),
                 next: 0,
             }),
             ready: Condvar::new(),
         }
     }
 
-    /// Number of producer lanes (including ones opened mid-run).
+    /// Number of producer lanes.
     pub fn lanes(&self) -> usize {
         self.state.lock().expect("merge poisoned").pending.len()
-    }
-
-    /// Opens a new lane positioned **immediately after** `parent` in the
-    /// drain order, returning its id.
-    ///
-    /// This is what keeps dynamic splits order-exact: a task working the
-    /// range `[a, s)` that hands off the tail `[b, s)` opens the tail's
-    /// lane right behind its own, so the tail's results drain after every
-    /// result the task itself will still push (all `< b`) and before the
-    /// lane that used to follow it. A task that splits repeatedly creates
-    /// its later (earlier-ranged) children closer to itself, which is
-    /// exactly their range order; split-of-split nests the same way.
-    ///
-    /// The parent must be unfinished — which also guarantees the drain
-    /// cannot have passed the insertion point yet.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use triejax_exec::OrderedMerge;
-    ///
-    /// let merge: OrderedMerge<&'static str> = OrderedMerge::new(2);
-    /// let tail = merge.open_lane_after(0); // drains between 0 and 1
-    /// merge.push(1, "last");
-    /// merge.finish(1);
-    /// merge.push(tail, "tail");
-    /// merge.finish(tail);
-    /// merge.push(0, "head");
-    /// merge.finish(0);
-    /// let mut out = Vec::new();
-    /// merge.drain(|b| out.push(b));
-    /// assert_eq!(out, vec!["head", "tail", "last"]);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is out of range or already finished.
-    pub fn open_lane_after(&self, parent: usize) -> usize {
-        let mut s = self.state.lock().expect("merge poisoned");
-        assert!(
-            !s.finished[parent],
-            "cannot open a lane after a finished lane"
-        );
-        let id = s.pending.len();
-        s.pending.push(VecDeque::new());
-        s.finished.push(false);
-        let next = s.next;
-        let pos = s.order[next..]
-            .iter()
-            .position(|&l| l == parent)
-            .expect("an unfinished lane is ahead of the drain")
-            + next;
-        s.order.insert(pos + 1, id);
-        id
     }
 
     /// Appends a batch to `lane`'s stream.
@@ -148,7 +79,7 @@ impl<B> OrderedMerge<B> {
         let mut s = self.state.lock().expect("merge poisoned");
         assert!(!s.finished[lane], "push to a finished lane");
         s.pending[lane].push_back(batch);
-        if s.order.get(s.next) == Some(&lane) {
+        if s.next == lane {
             self.ready.notify_one();
         }
     }
@@ -162,7 +93,7 @@ impl<B> OrderedMerge<B> {
         let mut s = self.state.lock().expect("merge poisoned");
         assert!(!s.finished[lane], "lane finished twice");
         s.finished[lane] = true;
-        if s.order.get(s.next) == Some(&lane) {
+        if s.next == lane {
             self.ready.notify_one();
         }
     }
@@ -171,17 +102,14 @@ impl<B> OrderedMerge<B> {
     /// finished and been drained.
     ///
     /// `consume` runs with the merge unlocked, so producers are never
-    /// blocked by downstream work. The drain also terminates correctly in
-    /// the presence of mid-run lanes: a new lane can only be opened after
-    /// an *unfinished* lane, so once every known lane has drained no
-    /// further lane can appear.
+    /// blocked by downstream work.
     pub fn drain(&self, mut consume: impl FnMut(B)) {
         let mut s = self.state.lock().expect("merge poisoned");
         loop {
-            if s.next == s.order.len() {
+            let lane = s.next;
+            if lane == s.pending.len() {
                 return;
             }
-            let lane = s.order[s.next];
             if let Some(batch) = s.pending[lane].pop_front() {
                 drop(s);
                 consume(batch);
@@ -241,53 +169,6 @@ mod tests {
         let merge: OrderedMerge<u32> = OrderedMerge::new(1);
         merge.finish(0);
         merge.push(0, 1);
-    }
-
-    /// Repeated splits nest in range order: a parent that splits twice
-    /// creates its second (earlier-ranged) child closer to itself, and a
-    /// child's own split lands between the child and its successor.
-    #[test]
-    fn split_lanes_drain_in_insertion_order() {
-        let merge: OrderedMerge<u32> = OrderedMerge::new(2);
-        let c1 = merge.open_lane_after(0); // parent 0 hands off its far tail
-        let c2 = merge.open_lane_after(0); // then a nearer tail: drains first
-        let c21 = merge.open_lane_after(c2); // split of a split
-                                             // Drain order must now be: 0, c2, c21, c1, 1.
-        for (lane, v) in [(0, 10), (c2, 20), (c21, 30), (c1, 40), (1, 50)] {
-            merge.push(lane, v);
-            merge.finish(lane);
-        }
-        let mut out = Vec::new();
-        merge.drain(|b| out.push(b));
-        assert_eq!(out, vec![10, 20, 30, 40, 50]);
-        assert_eq!(merge.lanes(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "finished lane")]
-    fn opening_a_lane_after_a_finished_lane_panics() {
-        let merge: OrderedMerge<u32> = OrderedMerge::new(1);
-        merge.finish(0);
-        let _ = merge.open_lane_after(0);
-    }
-
-    /// A lane opened while the drain is already blocked on its parent is
-    /// still picked up — the consumer re-reads the order on every step.
-    #[test]
-    fn lane_opened_mid_drain_is_not_missed() {
-        let merge: OrderedMerge<u32> = OrderedMerge::new(1);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                merge.push(0, 1);
-                let tail = merge.open_lane_after(0);
-                merge.finish(0);
-                merge.push(tail, 2);
-                merge.finish(tail);
-            });
-            let mut out = Vec::new();
-            merge.drain(|b| out.push(b));
-            assert_eq!(out, vec![1, 2]);
-        });
     }
 
     /// Concurrent producers + a blocking foreground drainer: the canonical

@@ -3,8 +3,6 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::split::{SpawnState, Spawner};
-
 /// Name of the environment variable overriding the default worker count.
 pub(crate) const POOL_ENV: &str = "TRIEJAX_POOL";
 
@@ -221,164 +219,6 @@ impl WorkerPool {
                     workers: n,
                     tasks: tasks.len(),
                     steals: steals.into_inner(),
-                    spawned: 0,
-                },
-            ),
-            o,
-        )
-    }
-
-    /// Runs a dynamically growing task set: every task receives a
-    /// [`Spawner`] through which it may submit *new* tasks to the same
-    /// run — the pool's split protocol, the software analogue of the
-    /// paper's §3.4 spawn-on-match scheduling. The run terminates once
-    /// every task, seeded or spawned, has completed.
-    ///
-    /// Unlike [`run`](Self::run), the full configured worker count is
-    /// spawned even when `seeds` has fewer entries: filling the spare
-    /// workers is precisely what splitting is for (a single heavy seed
-    /// carves off tails until every worker has work). Workers that find
-    /// nothing to do park on a condvar; [`Spawner::should_split`] reports
-    /// whether more siblings are parked than spawned tasks are already
-    /// waiting for them, so a running task can poll for split
-    /// opportunities with a pair of relaxed atomic loads.
-    ///
-    /// Task results are returned in **completion order** (splitting makes
-    /// a stable submission order meaningless); callers that need ordered
-    /// output should order it by data carried in `R`, or stream it
-    /// through an [`crate::OrderedMerge`] whose lanes the tasks manage —
-    /// see [`crate::OrderedMerge::open_lane_after`].
-    ///
-    /// `foreground` runs on the calling thread while the workers run,
-    /// exactly as in [`run_with_foreground`](Self::run_with_foreground),
-    /// and panicking tasks follow the same discipline: the panic is
-    /// caught, every remaining task (including ones the panicking task
-    /// spawned) still runs, and the first payload is re-thrown at the
-    /// end.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use triejax_exec::WorkerPool;
-    ///
-    /// // One seed covering [0, 16) splits itself in half whenever a
-    /// // sibling is idle, until the ranges are too small to split.
-    /// let pool = WorkerPool::with_workers(4);
-    /// let ((chunks, stats), ()) = pool.run_spawning(
-    ///     vec![(0u32, 16u32)],
-    ///     |_ctx, spawner, (lo, mut hi)| {
-    ///         if spawner.should_split() && hi - lo >= 2 {
-    ///             let mid = lo + (hi - lo) / 2;
-    ///             spawner.spawn((mid, hi));
-    ///             hi = mid;
-    ///         }
-    ///         (lo..hi).sum::<u32>()
-    ///     },
-    ///     || (),
-    /// );
-    /// assert_eq!(chunks.iter().sum::<u32>(), (0..16).sum());
-    /// assert_eq!(stats.tasks as u64, 1 + stats.spawned);
-    /// ```
-    pub fn run_spawning<T, R, F, M, O>(
-        &self,
-        seeds: Vec<T>,
-        work: F,
-        foreground: M,
-    ) -> ((Vec<R>, PoolStats), O)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(WorkerCtx, &Spawner<'_, T>, T) -> R + Sync,
-        M: FnOnce() -> O,
-    {
-        let seeded = seeds.len();
-        if seeded == 0 {
-            let o = foreground();
-            return ((Vec::new(), PoolStats::default()), o);
-        }
-        let n = self.workers.get();
-        let state = SpawnState::new(n, seeds);
-        let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-        let (results, o): (Vec<R>, O) = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|id| {
-                    let state = &state;
-                    let work = &work;
-                    let panicked = &panicked;
-                    scope.spawn(move || {
-                        #[cfg(any(test, feature = "faults"))]
-                        crate::faults::set_worker(id);
-                        let ctx = WorkerCtx {
-                            worker: id,
-                            workers: n,
-                        };
-                        let spawner = Spawner::new(state, id);
-                        let mut local: Vec<R> = Vec::new();
-                        loop {
-                            // The claim path hosts the steal-site fault
-                            // hook; catch it so an injected death there
-                            // retires the worker (which holds no task)
-                            // instead of killing the thread and losing
-                            // both its results and the panic payload.
-                            #[cfg(any(test, feature = "faults"))]
-                            let claimed =
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    state.claim(id)
-                                })) {
-                                    Ok(t) => t,
-                                    Err(payload) => {
-                                        let mut first =
-                                            panicked.lock().expect("panic slot poisoned");
-                                        first.get_or_insert(payload);
-                                        break;
-                                    }
-                                };
-                            #[cfg(not(any(test, feature = "faults")))]
-                            let claimed = state.claim(id);
-                            let Some(task) = claimed else {
-                                if state.wait_for_work() {
-                                    continue;
-                                }
-                                break;
-                            };
-                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                work(ctx, &spawner, task)
-                            })) {
-                                Ok(r) => local.push(r),
-                                Err(payload) => {
-                                    let mut first = panicked.lock().expect("panic slot poisoned");
-                                    first.get_or_insert(payload);
-                                }
-                            }
-                            state.complete();
-                        }
-                        local
-                    })
-                })
-                .collect();
-
-            let o = foreground();
-
-            let mut results = Vec::new();
-            for h in handles {
-                results.extend(h.join().expect("pool worker panicked"));
-            }
-            (results, o)
-        });
-
-        if let Some(payload) = panicked.into_inner().expect("panic slot poisoned") {
-            std::panic::resume_unwind(payload);
-        }
-        let spawned = state.spawned();
-        (
-            (
-                results,
-                PoolStats {
-                    workers: n,
-                    tasks: seeded + spawned as usize,
-                    steals: state.steals(),
-                    spawned,
                 },
             ),
             o,
@@ -406,9 +246,6 @@ pub struct PoolStats {
     /// Tasks obtained by stealing from a sibling's queue rather than from
     /// the worker's own.
     pub steals: u64,
-    /// Tasks submitted *during* the run through [`Spawner::spawn`]
-    /// (dynamic splits); always zero for the fixed-task entry points.
-    pub spawned: u64,
 }
 
 /// Resolves the default worker count (see [`WorkerPool::new`]).
@@ -566,110 +403,5 @@ mod tests {
         assert!(msg.contains("task 2 exploded"), "got: {msg}");
         assert_eq!(ran.load(Ordering::Relaxed), 6, "all tasks still ran");
         assert_eq!(drained, vec![0, 1, 3, 4, 5], "drain completed in order");
-    }
-
-    #[test]
-    fn spawned_tasks_run_and_are_counted() {
-        let pool = WorkerPool::with_workers(3);
-        let ((results, stats), ()) = pool.run_spawning(
-            vec![10u32],
-            |_ctx, spawner, t| {
-                if t == 10 {
-                    spawner.spawn(20);
-                    spawner.spawn(21);
-                }
-                if t == 20 {
-                    spawner.spawn(30); // a spawned task can spawn again
-                }
-                t
-            },
-            || (),
-        );
-        let mut sorted = results;
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![10, 20, 21, 30]);
-        assert_eq!(stats.tasks, 4);
-        assert_eq!(stats.spawned, 3);
-        assert_eq!(stats.workers, 3);
-    }
-
-    #[test]
-    fn single_worker_never_reports_an_idle_sibling() {
-        let pool = WorkerPool::with_workers(1);
-        let ((results, stats), ()) = pool.run_spawning(
-            vec![0u32, 1, 2],
-            |_ctx, spawner, t| {
-                assert!(!spawner.should_split(), "the only worker is running");
-                t
-            },
-            || (),
-        );
-        assert_eq!(results.len(), 3);
-        assert_eq!(stats.spawned, 0);
-    }
-
-    /// The split signal fires: with a single seed on a two-worker pool,
-    /// the second worker must eventually park, at which point the running
-    /// task observes `should_split()` and hands work off to it.
-    #[test]
-    fn idle_sibling_raises_the_split_signal() {
-        let pool = WorkerPool::with_workers(2);
-        let ((results, stats), ()) = pool.run_spawning(
-            vec![true],
-            |ctx, spawner, heavy| {
-                if heavy {
-                    // Spin until the sibling parks (bounded by the test
-                    // harness timeout; parking takes microseconds).
-                    while !spawner.should_split() {
-                        std::thread::yield_now();
-                    }
-                    spawner.spawn(false);
-                    ctx.worker
-                } else {
-                    ctx.worker
-                }
-            },
-            || (),
-        );
-        assert_eq!(results.len(), 2);
-        assert_eq!(stats.spawned, 1);
-    }
-
-    #[test]
-    fn empty_seed_set_runs_only_the_foreground() {
-        let pool = WorkerPool::with_workers(4);
-        let ((results, stats), fg) =
-            pool.run_spawning(Vec::<u32>::new(), |_ctx, _spawner, t| t, || 7);
-        assert!(results.is_empty());
-        assert_eq!(stats.tasks, 0);
-        assert_eq!(fg, 7);
-    }
-
-    /// A panicking task must not leak the tasks it already spawned or
-    /// deadlock parked siblings: everything still runs, then the payload
-    /// is re-thrown.
-    #[test]
-    fn panic_in_a_spawning_task_still_runs_its_children() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::atomic::AtomicUsize;
-
-        let pool = WorkerPool::with_workers(2);
-        let ran = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_spawning(
-                vec![0u32],
-                |_ctx, spawner, t| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    if t == 0 {
-                        spawner.spawn(1);
-                        spawner.spawn(2);
-                        panic!("seed exploded");
-                    }
-                },
-                || (),
-            )
-        }));
-        assert!(result.is_err(), "the panic must propagate");
-        assert_eq!(ran.load(Ordering::Relaxed), 3, "children still ran");
     }
 }

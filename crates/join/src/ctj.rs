@@ -3,8 +3,7 @@ use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, Counting, JoinCursor, Tally, TrieCursor, Value, WORD_BYTES};
 
 use crate::cache::{LocalPjr, Looked, PjrStore};
-use crate::engine::head_slots;
-use crate::shard::{try_split_at, NoSplit, SplitSpawn};
+use crate::engine::{head_slots, timed_build};
 use crate::sink::BatchEmitter;
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
 use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, Leapfrog, ResultSink, TrieSet};
@@ -98,13 +97,15 @@ impl Ctj {
         catalog: &Catalog,
         sink: &mut dyn ResultSink,
     ) -> Result<EngineStats<T>, JoinError> {
-        let tries = TrieSet::build(plan, catalog)?;
+        let (tries, build_ns) = timed_build(|| TrieSet::build(plan, catalog));
+        let tries = tries?;
         let store = LocalPjr::with_adaptive(self.config, plan.arity());
         let mut driver = CtjDriver::with_store(plan, &tries, self.config, store)?;
         if self.config.adaptive {
             driver.set_cache_mask(plan_cache_mask(plan, catalog));
         }
         driver.run(sink);
+        driver.stats.trie_build_ns = build_ns;
         Ok(driver.stats)
     }
 
@@ -128,7 +129,8 @@ impl Ctj {
         if !plan_touches_delta(plan, deltas) {
             return self.run_tallied(plan, catalog, sink);
         }
-        let set = MergeSet::build(plan, catalog, deltas)?;
+        let (set, build_ns) = timed_build(|| MergeSet::build(plan, catalog, deltas));
+        let set = set?;
         let store = LocalPjr::with_adaptive(self.config, plan.arity());
         let mut driver =
             CtjDriver::<T, LocalPjr, NoBudget, _>::with_store(plan, &set, self.config, store)?;
@@ -136,6 +138,7 @@ impl Ctj {
             driver.set_cache_mask(plan_cache_mask(plan, catalog));
         }
         driver.run(sink);
+        driver.stats.trie_build_ns = build_ns;
         Ok(driver.stats)
     }
 }
@@ -208,13 +211,10 @@ pub(crate) struct CtjDriver<
     /// Plan-time adaptive mask: `false` at depths whose cache spec was
     /// dropped by the cost model (all `true` when adaptation is off).
     cache_mask: Vec<bool>,
-    /// Level the `[range_min, range_sup)` restriction applies to: 0 for
-    /// seeded shards, the donated level for sub-root split donees.
-    range_depth: usize,
-    range_min: Value,
-    range_sup: Option<Value>,
-    /// Per level: the upper bound committed splits have clamped it to.
-    sup_at: Vec<Option<Value>>,
+    /// Root-level restriction `[root_min, root_sup)` of the shard being
+    /// run; unbounded for sequential runs.
+    root_min: Value,
+    root_sup: Option<Value>,
     budget: B,
     pub(crate) stats: EngineStats<T>,
 }
@@ -272,10 +272,8 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
             members_at,
             cache,
             cache_mask: vec![true; n],
-            range_depth: 0,
-            range_min: 0,
-            range_sup: None,
-            sup_at: vec![None; n],
+            root_min: 0,
+            root_sup: None,
             budget,
             stats: EngineStats::default(),
         })
@@ -307,72 +305,10 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
         root_sup: Option<Value>,
         sink: &mut dyn ResultSink,
     ) {
-        self.run_range_split(root_min, root_sup, sink, &mut NoSplit);
-    }
-
-    /// Like [`run_range`](Self::run_range), with a split controller
-    /// polled at the match points of every non-cached level up to the
-    /// controller's depth cap (see [`crate::shard::try_split_at`]);
-    /// [`NoSplit`] monomorphizes the polling away for the sequential
-    /// paths.
-    pub(crate) fn run_range_split<S: SplitSpawn>(
-        &mut self,
-        root_min: Value,
-        root_sup: Option<Value>,
-        sink: &mut dyn ResultSink,
-        ctl: &mut S,
-    ) {
-        self.run_split_at(0, &[], root_min, root_sup, sink, ctl);
-    }
-
-    /// Runs a sub-root split task: binds the donated `prefix`, joins the
-    /// donated level restricted to `[min, sup)` and everything below it,
-    /// then unwinds the prefix so the pooled driver can run more tasks.
-    /// See `Driver::run_split_at` in `lftj.rs` for the protocol; the CTJ
-    /// variant keeps its cache across tasks (entries are keyed by
-    /// bindings alone, so both halves of a split keep hitting it).
-    pub(crate) fn run_split_at<S: SplitSpawn>(
-        &mut self,
-        depth: usize,
-        prefix: &[Value],
-        min: Value,
-        sup: Option<Value>,
-        sink: &mut dyn ResultSink,
-        ctl: &mut S,
-    ) {
-        assert_eq!(
-            prefix.len(),
-            depth,
-            "split prefix binds every level above the donated one"
-        );
-        self.range_depth = depth;
-        self.range_min = min;
-        self.range_sup = sup;
-        for (q, &v) in prefix.iter().enumerate() {
-            for &(a, lvl) in self.plan.atoms_at(q) {
-                if lvl > 0 {
-                    self.stats.expand_ops += 1;
-                }
-                let opened = self.cursors[a].open(&mut self.stats.access);
-                assert!(opened, "split prefix level must be non-empty");
-                let found = self.cursors[a].seek(v, &mut self.stats.access);
-                assert!(
-                    found && self.cursors[a].key() == v,
-                    "split prefix value must exist in every participant"
-                );
-            }
-            self.binding[q] = v;
-        }
-        self.level(depth, sink, ctl);
+        self.root_min = root_min;
+        self.root_sup = root_sup;
+        self.level(0, sink);
         self.emitter.flush(sink);
-        for q in (0..depth).rev() {
-            for &(a, _) in self.plan.atoms_at(q) {
-                self.cursors[a].up();
-            }
-        }
-        self.range_depth = 0;
-        self.range_min = 0;
-        self.range_sup = None;
     }
 
     /// Emits the current binding; returns `false` when the budget refused
@@ -394,10 +330,7 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
 
     /// Returns `false` when the budget stopped the run at this level or
     /// below; cursors are unwound normally either way.
-    fn level<S: SplitSpawn>(&mut self, d: usize, sink: &mut dyn ResultSink, ctl: &mut S) -> bool {
-        // Entering a fresh subtree invalidates any split vetoes recorded
-        // for this depth and below — they referred to sibling subtrees.
-        ctl.level_entered(d);
+    fn level(&mut self, d: usize, sink: &mut dyn ResultSink) -> bool {
         let spec = self
             .plan
             .cache_spec_at(d)
@@ -417,26 +350,20 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
                     .record(AccessKind::Intermediate, key.len() as u64 * WORD_BYTES);
                 match self.cache.lookup(d, key, &mut self.stats) {
                     Looked::Hit(entry) => {
-                        return self.replay(d, &entry, sink, ctl);
+                        return self.replay(d, &entry, sink);
                     }
                     Looked::Miss(key, token) => Some((key, token)),
                 }
             }
             None => None,
         };
-        self.compute(d, record_key, sink, ctl)
+        self.compute(d, record_key, sink)
     }
 
     /// Cache hit: iterate the stored `(value, index)` list, re-opening each
     /// participating cursor directly at the stored index (paper Fig. 3,
     /// step 5: "read next z from cache").
-    fn replay<S: SplitSpawn>(
-        &mut self,
-        d: usize,
-        entry: &[(Value, Vec<u32>)],
-        sink: &mut dyn ResultSink,
-        ctl: &mut S,
-    ) -> bool {
+    fn replay(&mut self, d: usize, entry: &[(Value, Vec<u32>)], sink: &mut dyn ResultSink) -> bool {
         let last = d + 1 == self.plan.arity();
         let parts = self.plan.atoms_at(d);
         for (v, positions) in entry {
@@ -453,7 +380,7 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
                 for (i, &(a, _)) in parts.iter().enumerate() {
                     self.cursors[a].reopen_at(positions[i], *v, &mut self.stats.access);
                 }
-                let live = self.level(d + 1, sink, ctl);
+                let live = self.level(d + 1, sink);
                 for &(a, _) in parts {
                     self.cursors[a].up();
                 }
@@ -467,29 +394,27 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
 
     /// Standard leapfrog execution at depth `d`, optionally recording the
     /// matches for insertion into the cache once the level completes.
-    fn compute<S: SplitSpawn>(
+    fn compute(
         &mut self,
         d: usize,
         record_key: Option<(Vec<Value>, u64)>,
         sink: &mut dyn ResultSink,
-        ctl: &mut S,
     ) -> bool {
-        // Open level d on every participant (clamped to the task's range
-        // at its ranged depth, so shards never leapfrog outside their
+        // Open level d on every participant (the root level clamped to
+        // the shard's range, so shards never leapfrog outside their
         // slice).
-        self.sup_at[d] = if d == self.range_depth {
-            self.range_sup
-        } else {
-            None
-        };
         let parts = self.plan.atoms_at(d);
-        let ranged = d == self.range_depth && (self.range_min > 0 || self.range_sup.is_some());
+        let ranged = d == 0 && (self.root_min > 0 || self.root_sup.is_some());
         for (i, &(a, lvl)) in parts.iter().enumerate() {
             if lvl > 0 {
                 self.stats.expand_ops += 1;
             }
             let opened = if ranged {
-                self.cursors[a].open_range(self.range_min, self.range_sup, &mut self.stats.access)
+                self.cursors[a].open_root_range(
+                    self.root_min,
+                    self.root_sup,
+                    &mut self.stats.access,
+                )
             } else {
                 self.cursors[a].open(&mut self.stats.access)
             };
@@ -501,12 +426,6 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
             }
         }
 
-        // A recorded level must observe every one of its matches —
-        // donating its tail would publish a truncated entry whose
-        // replays silently drop rows — so split polls are suppressed
-        // while recording. (A demoted or mask-dropped spec computes like
-        // plain LFTJ and splits freely.)
-        let can_split = record_key.is_none();
         let mut live = true;
         let mut pending: Option<Vec<(Value, Vec<u32>)>> = record_key.as_ref().map(|_| Vec::new());
         // Recycle this depth's member vector (no per-node allocation).
@@ -514,29 +433,12 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
         let mut m = lf.search(&mut self.cursors, &mut self.stats);
         while let Some(v) = m {
             self.binding[d] = v;
-            if d == self.range_depth && B::GOVERNED && self.budget.poll().is_some() {
-                // Polling at the task's top level before the (possibly
-                // expensive) subtree visit bounds the overshoot past a
-                // deadline by one value there.
+            if d == 0 && B::GOVERNED && self.budget.poll().is_some() {
+                // Polling at the root before the (possibly expensive)
+                // subtree visit bounds the overshoot past a deadline by
+                // one root value.
                 live = false;
                 break;
-            }
-            if can_split && d <= ctl.depth_cap() {
-                // Match-point split poll (paper §3.4 spawn-on-match): the
-                // current value v stays with this shard. Only reachable
-                // outside a cache replay, and a split never moves the
-                // cache: entries are keyed by bindings alone, so both
-                // halves keep hitting it.
-                let (prefix, _) = self.binding.split_at(d);
-                try_split_at(
-                    self.plan,
-                    &mut self.cursors,
-                    &mut self.sup_at[d],
-                    d,
-                    prefix,
-                    ctl,
-                    &mut self.stats,
-                );
             }
             if let Some(p) = pending.as_mut() {
                 if self.config.entry_capacity.is_some_and(|cap| p.len() >= cap) {
@@ -560,7 +462,7 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
             let descended = if d + 1 == self.plan.arity() {
                 self.emit_result(sink)
             } else {
-                self.level(d + 1, sink, ctl)
+                self.level(d + 1, sink)
             };
             if !descended {
                 live = false;
@@ -582,12 +484,6 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
             if let (Some((key, token)), Some(p)) = (record_key, pending) {
                 self.cache.publish(d, key, token, p, &mut self.stats);
             }
-        }
-        // A split at this depth opened a continuation lane for the
-        // donor's output *after* this subtree; adopt it now so that the
-        // stream stays tuple-for-tuple sequential around the handoff.
-        if let Some(lane) = ctl.take_switch(d) {
-            sink.redirect_lane(lane);
         }
         live
     }

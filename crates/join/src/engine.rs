@@ -73,6 +73,15 @@ pub(crate) fn head_slots(plan: &CompiledQuery) -> Result<Vec<usize>, JoinError> 
         .collect()
 }
 
+/// Runs a trie build and returns its result with the wall-clock
+/// nanoseconds it took — one clock pair per run, recorded as
+/// [`EngineStats::trie_build_ns`] by the sequential engines.
+pub(crate) fn timed_build<R>(build: impl FnOnce() -> R) -> (R, u64) {
+    let t0 = std::time::Instant::now();
+    let built = build();
+    (built, t0.elapsed().as_nanos() as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,7 @@ use triejax_exec::{Budget, NoBudget};
 use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, Counting, Tally, Trie, Value, WORD_BYTES};
 
-use crate::engine::head_slots;
+use crate::engine::{head_slots, timed_build};
 use crate::intersect::intersect_sorted;
 use crate::sink::BatchEmitter;
 use crate::viewset::{merged_catalog, plan_touches_delta};
@@ -62,10 +62,12 @@ impl GenericJoin {
         catalog: &Catalog,
         sink: &mut dyn ResultSink,
     ) -> Result<EngineStats<T>, JoinError> {
-        let tries = TrieSet::build(plan, catalog)?;
+        let (tries, build_ns) = timed_build(|| TrieSet::build(plan, catalog));
+        let tries = tries?;
         let mut driver = GjDriver::budgeted(plan, &tries, NoBudget)?;
         driver.level(0, sink);
         driver.emitter.flush(sink);
+        driver.stats.trie_build_ns = build_ns;
         Ok(driver.stats)
     }
 

@@ -2,8 +2,7 @@ use triejax_exec::{Budget, NoBudget};
 use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, Counting, JoinCursor, Tally, TrieCursor, Value, WORD_BYTES};
 
-use crate::engine::head_slots;
-use crate::shard::{try_split_at, NoSplit, SplitSpawn};
+use crate::engine::{head_slots, timed_build};
 use crate::sink::BatchEmitter;
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
 use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, Leapfrog, ResultSink, TrieSet};
@@ -60,9 +59,11 @@ impl Lftj {
         catalog: &Catalog,
         sink: &mut dyn ResultSink,
     ) -> Result<EngineStats<T>, JoinError> {
-        let tries = TrieSet::build(plan, catalog)?;
+        let (tries, build_ns) = timed_build(|| TrieSet::build(plan, catalog));
+        let tries = tries?;
         let mut driver = Driver::new(plan, &tries)?;
         driver.run(sink);
+        driver.stats.trie_build_ns = build_ns;
         Ok(driver.stats)
     }
 
@@ -88,9 +89,11 @@ impl Lftj {
         if !plan_touches_delta(plan, deltas) {
             return self.run_tallied(plan, catalog, sink);
         }
-        let set = MergeSet::build(plan, catalog, deltas)?;
+        let (set, build_ns) = timed_build(|| MergeSet::build(plan, catalog, deltas));
+        let set = set?;
         let mut driver = Driver::<T, NoBudget, _>::new(plan, &set)?;
         driver.run(sink);
+        driver.stats.trie_build_ns = build_ns;
         Ok(driver.stats)
     }
 }
@@ -113,23 +116,20 @@ impl JoinEngine for Lftj {
 /// Shared recursive backtracking driver (also the skeleton CTJ extends and
 /// the per-shard worker of the parallel engine).
 ///
-/// The driver optionally restricts one level — `range_depth` — to the
-/// value range `[range_min, range_sup)`: the parallel engine gives each
-/// seeded shard a contiguous slice of the first join variable's domain
-/// (`range_depth` 0), and a sub-root split donee a slice of an inner
-/// level under a bound prefix ([`Driver::run_split_at`]), which keeps
+/// The driver optionally restricts the root level to the value range
+/// `[root_min, root_sup)`: the parallel engine gives each shard a
+/// contiguous slice of the first join variable's domain, which keeps
 /// every shard's emission order identical to the sequential engine's.
-/// Shard entry clamps that level of every participating cursor to the
-/// range ([`JoinCursor::open_range`]), so the leapfrog never probes
-/// outside the shard.
+/// Shard entry clamps the root level of every participating cursor to
+/// the range ([`JoinCursor::open_root_range`]), so the leapfrog never
+/// probes outside the shard.
 ///
 /// The driver is additionally generic over a [`Budget`]: the default
 /// [`NoBudget`] monomorphizes every cancellation check away, while a
 /// [`triejax_exec::BudgetHandle`] makes the root loop poll for
 /// deadline/token trips and every emission charge the row quota. A
-/// governed driver stops early — `run`/`run_split` still flush whatever
-/// the emitter buffered, so the delivered rows stay an exact stream
-/// prefix.
+/// governed driver stops early — `run` still flushes whatever the
+/// emitter buffered, so the delivered rows stay an exact stream prefix.
 ///
 /// Finally, the driver is generic over the [`JoinCursor`] implementation
 /// its [`CursorSet`] hands out: plain [`TrieCursor`]s for frozen
@@ -146,15 +146,10 @@ pub(crate) struct Driver<'a, T: Tally, B: Budget = NoBudget, Cur: JoinCursor = T
     /// Per depth: participating cursor indices, preallocated once so the
     /// recursive driver never allocates per node.
     members_at: Vec<Vec<usize>>,
-    /// Level the `[range_min, range_sup)` restriction applies to: 0 for
-    /// seeded shards (and sequential runs, where the range is unbounded),
-    /// the donated level for sub-root split donees.
-    range_depth: usize,
-    range_min: Value,
-    range_sup: Option<Value>,
-    /// Per level: the upper bound committed splits have clamped it to
-    /// (`None` until a split donates a tail there). Reset on level entry.
-    sup_at: Vec<Option<Value>>,
+    /// Root-level restriction `[root_min, root_sup)`; unbounded for
+    /// sequential runs.
+    root_min: Value,
+    root_sup: Option<Value>,
     budget: B,
     pub stats: EngineStats<T>,
 }
@@ -203,10 +198,8 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
             slots: head_slots(plan)?,
             emitter: BatchEmitter::new(n),
             members_at,
-            range_depth: 0,
-            range_min: root_min,
-            range_sup: root_sup,
-            sup_at: vec![None; n],
+            root_min,
+            root_sup,
             budget,
             stats: EngineStats::default(),
         })
@@ -220,88 +213,31 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
     }
 
     /// Runs the full backtracking join.
-    pub(crate) fn run(&mut self, sink: &mut dyn ResultSink) {
-        self.run_split(sink, &mut NoSplit);
-    }
-
-    /// Runs the join with a split controller polled at every match point
-    /// up to the controller's depth cap: when it reports an idle sibling
-    /// worker, the unvisited tail of the current level is carved off into
-    /// a new task (see [`try_split_at`]). Sequential callers pass
-    /// [`NoSplit`], which monomorphizes the polling away entirely.
     ///
     /// A governed driver (see [`Driver::budgeted`]) may stop early; the
     /// rows already allowed through are flushed either way, so the sink
     /// always holds an exact prefix of the driver's emission order.
-    pub(crate) fn run_split<C: SplitSpawn>(&mut self, sink: &mut dyn ResultSink, ctl: &mut C) {
-        self.level(0, sink, ctl);
+    pub(crate) fn run(&mut self, sink: &mut dyn ResultSink) {
+        self.level(0, sink);
         self.emitter.flush(sink);
     }
 
-    /// Runs a sub-root split task: binds the donated `prefix` (the values
-    /// the donor had matched above the split level), then joins the
-    /// donated level restricted to `[min, sup)` and everything below it.
-    ///
-    /// The donor held exactly these prefix values open at every
-    /// participating cursor when it handed the tail off, so each rebind
-    /// seek lands on its value by construction. The prefix levels are
-    /// unwound before returning so a pooled driver can run further tasks.
-    pub(crate) fn run_split_at<C: SplitSpawn>(
-        &mut self,
-        depth: usize,
-        prefix: &[Value],
-        min: Value,
-        sup: Option<Value>,
-        sink: &mut dyn ResultSink,
-        ctl: &mut C,
-    ) {
-        assert_eq!(
-            prefix.len(),
-            depth,
-            "split prefix binds every level above the donated one"
-        );
-        self.range_depth = depth;
-        self.range_min = min;
-        self.range_sup = sup;
-        for (q, &v) in prefix.iter().enumerate() {
-            for &(a, lvl) in self.plan.atoms_at(q) {
-                if lvl > 0 {
-                    self.stats.expand_ops += 1;
-                }
-                let opened = self.cursors[a].open(&mut self.stats.access);
-                assert!(opened, "split prefix level must be non-empty");
-                let found = self.cursors[a].seek(v, &mut self.stats.access);
-                assert!(
-                    found && self.cursors[a].key() == v,
-                    "split prefix value must exist in every participant"
-                );
-            }
-            self.binding[q] = v;
-        }
-        self.level(depth, sink, ctl);
-        self.emitter.flush(sink);
-        for q in (0..depth).rev() {
-            for &(a, _) in self.plan.atoms_at(q) {
-                self.cursors[a].up();
-            }
-        }
-        self.range_depth = 0;
-        self.range_min = 0;
-        self.range_sup = None;
-    }
-
-    /// Opens level `d` on every participating cursor (clamped to
-    /// `[range_min, range_sup)` at the ranged depth); on an empty open
-    /// closes what was opened and returns `false`.
+    /// Opens level `d` on every participating cursor (the root level
+    /// clamped to `[root_min, root_sup)`); on an empty open closes what
+    /// was opened and returns `false`.
     fn open_level(&mut self, d: usize) -> bool {
         let parts = self.plan.atoms_at(d);
-        let ranged = d == self.range_depth && (self.range_min > 0 || self.range_sup.is_some());
+        let ranged = d == 0 && (self.root_min > 0 || self.root_sup.is_some());
         for (i, &(a, lvl)) in parts.iter().enumerate() {
             if lvl > 0 {
                 self.stats.expand_ops += 1;
             }
             let opened = if ranged {
-                self.cursors[a].open_range(self.range_min, self.range_sup, &mut self.stats.access)
+                self.cursors[a].open_root_range(
+                    self.root_min,
+                    self.root_sup,
+                    &mut self.stats.access,
+                )
             } else {
                 self.cursors[a].open(&mut self.stats.access)
             };
@@ -340,52 +276,29 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
 
     /// Returns `false` when the budget stopped the run at this level or
     /// below; cursors are unwound normally either way.
-    fn level<C: SplitSpawn>(&mut self, d: usize, sink: &mut dyn ResultSink, ctl: &mut C) -> bool {
-        // Entering a fresh subtree invalidates any split vetoes recorded
-        // for this depth and below — they referred to sibling subtrees.
-        ctl.level_entered(d);
-        self.sup_at[d] = if d == self.range_depth {
-            self.range_sup
-        } else {
-            None
-        };
+    fn level(&mut self, d: usize, sink: &mut dyn ResultSink) -> bool {
         if !self.open_level(d) {
             return true;
         }
         let mut live = true;
         // Recycle this depth's member vector: the recursion must not
-        // allocate per visited node. The ranged level needs no range
+        // allocate per visited node. The root level needs no range
         // checks here — `open_level` already clamped the cursors.
         let mut lf = Leapfrog::new(std::mem::take(&mut self.members_at[d]));
         let mut m = lf.search(&mut self.cursors, &mut self.stats);
         while let Some(v) = m {
             self.binding[d] = v;
-            if d == self.range_depth && B::GOVERNED && self.budget.poll().is_some() {
-                // Polling at the task's top level before the (possibly
-                // expensive) subtree visit bounds the overshoot past a
-                // deadline by one value there.
+            if d == 0 && B::GOVERNED && self.budget.poll().is_some() {
+                // Polling at the root before the (possibly expensive)
+                // subtree visit bounds the overshoot past a deadline by
+                // one root value.
                 live = false;
                 break;
-            }
-            if d <= ctl.depth_cap() {
-                // Match-point split poll (paper §3.4 spawn-on-match): the
-                // current value v stays with this shard; only values
-                // beyond the boundary are handed off.
-                let (prefix, _) = self.binding.split_at(d);
-                try_split_at(
-                    self.plan,
-                    &mut self.cursors,
-                    &mut self.sup_at[d],
-                    d,
-                    prefix,
-                    ctl,
-                    &mut self.stats,
-                );
             }
             let descended = if d + 1 == self.plan.arity() {
                 self.emit_result(sink)
             } else {
-                self.level(d + 1, sink, ctl)
+                self.level(d + 1, sink)
             };
             if !descended {
                 live = false;
@@ -395,12 +308,6 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
         }
         self.members_at[d] = lf.into_members();
         self.close_level(d);
-        // A split at this depth opened a continuation lane for the
-        // donor's output *after* this subtree; adopt it now so that the
-        // stream stays tuple-for-tuple sequential around the handoff.
-        if let Some(lane) = ctl.take_switch(d) {
-            sink.redirect_lane(lane);
-        }
         live
     }
 }

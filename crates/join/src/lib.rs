@@ -15,10 +15,11 @@
 //!   algorithm class of Q100 and Graphicionado's pattern expansion; both
 //!   materialize every intermediate relation.
 //! * [`ParLftj`] / [`ParCtj`] — LFTJ and CTJ parallelized on the shared
-//!   `triejax-exec` runtime: the first join variable's domain is split
-//!   into many contiguous root ranges, scheduled on a work-stealing
-//!   worker pool (the software analogue of TrieJax's dynamic
-//!   spawn-on-match multithreading, paper §3.4), and emitted through
+//!   `triejax-exec` runtime: the first join variable's domain is cut
+//!   into many more contiguous root ranges than workers, scheduled on a
+//!   work-stealing worker pool (oversharding plus stealing is the
+//!   software analogue of TrieJax's spawn-on-match multithreading, paper
+//!   §3.4), and emitted through
 //!   batched [`ShardSink`]s into an order-preserving merge. `ParCtj`
 //!   shares **one sharded partial-join-result cache across all workers**
 //!   (lock-striped, bounded with per-stripe FIFO eviction,

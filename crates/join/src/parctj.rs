@@ -9,10 +9,7 @@ use triejax_relation::{Counting, Tally};
 use crate::cache::{LocalPjr, SharedPjrCache, SharedPjrHandle};
 use crate::ctj::{plan_cache_mask, CtjDriver};
 use crate::engine::head_slots;
-use crate::shard::{
-    can_split, compose_budget, env_split, env_split_depth, execute_sharded, execute_split,
-    make_pool, plan_shards,
-};
+use crate::shard::{compose_budget, execute_sharded, make_pool, plan_shards};
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
 use crate::{
     Catalog, CtjConfig, DeltaMap, EngineStats, JoinEngine, JoinError, ResultSink, TrieCache,
@@ -88,11 +85,6 @@ pub struct ParCtj {
     /// Explicit cache configuration; `None` = unbounded entries with the
     /// shared capacity taken from `TRIEJAX_CACHE_CAP` (if set).
     config: Option<CtjConfig>,
-    /// Explicit dynamic-splitting choice; `None` = `TRIEJAX_SPLIT` or off.
-    split: Option<bool>,
-    /// Explicit sub-root split depth cap; `None` = `TRIEJAX_SPLIT_DEPTH`
-    /// or 0 (root-only splits).
-    split_depth: Option<usize>,
     /// Explicit wall-clock deadline; `None` = `TRIEJAX_DEADLINE_MS` or none.
     deadline: Option<Duration>,
     /// Explicit result-row cap; `None` = `TRIEJAX_ROW_LIMIT` or none.
@@ -173,70 +165,6 @@ impl ParCtj {
     /// The configured shard count, or `None` for plan-seeded.
     pub fn granularity(&self) -> Option<usize> {
         self.granularity.map(NonZeroUsize::get)
-    }
-
-    /// Enables or disables dynamic shard splitting, overriding the
-    /// `TRIEJAX_SPLIT` environment default; see
-    /// [`crate::ParLftj::with_split`] for the full protocol. Splitting
-    /// never moves the shared PJR cache: entries are keyed by bindings
-    /// alone, so both halves of a split keep hitting the same entries.
-    ///
-    /// ```
-    /// use triejax_join::ParCtj;
-    ///
-    /// let engine = ParCtj::with_pool(4).with_split(true);
-    /// assert_eq!(engine.splitting(), Some(true));
-    /// ```
-    pub fn with_split(mut self, on: bool) -> Self {
-        self.split = Some(on);
-        self
-    }
-
-    /// The configured splitting choice, or `None` for the `TRIEJAX_SPLIT`
-    /// environment default.
-    pub fn splitting(&self) -> Option<bool> {
-        self.split
-    }
-
-    /// Caps how deep dynamic splits may donate work, overriding the
-    /// `TRIEJAX_SPLIT_DEPTH` environment default; see
-    /// [`crate::ParLftj::with_split_depth`] for the full protocol. One
-    /// CTJ-specific rule: a level being recorded into the PJR cache never
-    /// donates its tail (the published entry must hold the level's whole
-    /// match list), so splits only fire at depths without a live cache
-    /// spec.
-    pub fn with_split_depth(mut self, depth: usize) -> Self {
-        self.split_depth = Some(depth);
-        self
-    }
-
-    /// The configured split-depth cap, or `None` for the
-    /// `TRIEJAX_SPLIT_DEPTH` environment default.
-    pub fn split_depth(&self) -> Option<usize> {
-        self.split_depth
-    }
-
-    /// The split-depth cap this run will use; see
-    /// [`crate::ParLftj::effective_split_depth`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `TRIEJAX_SPLIT_DEPTH` is consulted and set to anything
-    /// but a non-negative integer or `"max"`.
-    pub fn effective_split_depth(&self) -> usize {
-        self.split_depth.unwrap_or_else(env_split_depth)
-    }
-
-    /// The splitting choice this run will use: the explicit one if set,
-    /// otherwise the `TRIEJAX_SPLIT` environment default (off when the
-    /// variable is unset); see [`crate::ParLftj::effective_split`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `TRIEJAX_SPLIT` is consulted and set to anything but a
-    /// recognised on/off spelling.
-    pub fn effective_split(&self) -> bool {
-        self.split.unwrap_or_else(env_split)
     }
 
     /// The cache configuration this run will use: the explicit one if
@@ -469,29 +397,16 @@ impl ParCtj {
         worker: B,
         budget: Option<&RunBudget>,
     ) -> Result<EngineStats<T>, JoinError> {
-        // Splitting needs a spare worker to hand work to, plus either a
-        // root domain wide enough to carve or permission to split below
-        // the root (where a narrow root domain is irrelevant); otherwise
-        // fall back to the static schedule (and its sequential
-        // single-shard fast path).
-        let depth_cap = self.effective_split_depth();
-        let split = self.effective_split()
-            && pool.workers() > 1
-            && (can_split(plan, set) || depth_cap >= 1);
         let ranges = plan_shards(
             plan,
             catalog,
             set,
             pool.workers(),
             self.granularity.map(NonZeroUsize::get),
-            split,
         );
         let config = self.effective_config();
 
-        // With splitting on, even a single seeded range spreads itself
-        // across the idle pool; without it, a lone range runs
-        // sequentially.
-        if !split && ranges.len() <= 1 {
+        if ranges.len() <= 1 {
             // Single-shard fast path: one driver on a worker-local store
             // (no stripe locks to pay when nothing is shared). The
             // capacity then bounds live entries by dropping new inserts
@@ -516,14 +431,8 @@ impl ParCtj {
 
         // Validate the emission plan up front so shard workers cannot fail.
         head_slots(plan)?;
-        // With splitting, every configured worker may end up running a
-        // spawned shard; without it, a run never uses more workers than
-        // it has planned ranges.
-        let workers = if split {
-            pool.workers()
-        } else {
-            pool.workers().min(ranges.len())
-        };
+        // A run never uses more workers than it has planned ranges.
+        let workers = pool.workers().min(ranges.len());
         // One cache shared by every worker, striped for the worker count,
         // pre-sized from the plan's entry estimate over the catalog.
         let entries_hint = plan.cache_entries_estimate(|name| catalog.get(name).map(|r| r.len()));
@@ -553,40 +462,20 @@ impl ParCtj {
             d.emit_passthrough(); // the ShardSink already batches
             d
         };
-        let pool_stats = if split {
-            let (_, pool_stats) = execute_split(
-                pool,
-                &ranges,
-                plan.arity(),
-                depth_cap,
-                sink,
-                budget,
-                |ctx, depth, prefix, min, sup, shard_sink, ctl| {
-                    let mut slot = worker_drivers[ctx.worker]
-                        .lock()
-                        .expect("worker driver poisoned");
-                    let driver = slot.get_or_insert_with(new_driver);
-                    driver.run_split_at(depth, prefix, min, sup, shard_sink, ctl);
-                },
-            );
-            pool_stats
-        } else {
-            let (_, pool_stats) = execute_sharded(
-                pool,
-                &ranges,
-                plan.arity(),
-                sink,
-                budget,
-                |ctx, _lane, min, sup, shard_sink| {
-                    let mut slot = worker_drivers[ctx.worker]
-                        .lock()
-                        .expect("worker driver poisoned");
-                    let driver = slot.get_or_insert_with(new_driver);
-                    driver.run_range(min, sup, shard_sink);
-                },
-            );
-            pool_stats
-        };
+        let (_, pool_stats) = execute_sharded(
+            pool,
+            &ranges,
+            plan.arity(),
+            sink,
+            budget,
+            |ctx, _lane, min, sup, shard_sink| {
+                let mut slot = worker_drivers[ctx.worker]
+                    .lock()
+                    .expect("worker driver poisoned");
+                let driver = slot.get_or_insert_with(new_driver);
+                driver.run_range(min, sup, shard_sink);
+            },
+        );
 
         // Shard join: fold every worker's accumulated stats into the run
         // total. Cache counters sum cleanly because the shared store
@@ -598,7 +487,6 @@ impl ParCtj {
                 stats.merge(&driver.stats);
             }
         }
-        // Split shards are shards too: count every task the pool ran.
         stats.shards = pool_stats.tasks as u64;
         stats.steals = pool_stats.steals;
         stats.trie_build_ns = trie_build_ns;
@@ -857,41 +745,6 @@ mod tests {
         assert_eq!(stats.results, 0);
     }
 
-    /// A root domain too narrow to ever carve (< 3 values) must not pay
-    /// for the splitting machinery: the run falls back to the static
-    /// schedule — and for a domain of one value, its sequential
-    /// single-shard fast path (worker-local drop-new cache semantics) —
-    /// exactly as if splitting were off.
-    #[test]
-    fn split_on_a_tiny_root_domain_falls_back_to_the_static_schedule() {
-        let c = catalog(&[(0, 1), (1, 0)]);
-        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
-        let mut reference = CollectSink::new();
-        let static_stats = ParCtj::with_pool(4)
-            .with_split(false)
-            .execute(&plan, &c, &mut reference)
-            .unwrap();
-        let mut sink = CollectSink::new();
-        let stats = ParCtj::with_pool(4)
-            .with_split(true)
-            .execute(&plan, &c, &mut sink)
-            .unwrap();
-        assert_eq!(sink.tuples(), reference.tuples());
-        assert_eq!(stats.shards, static_stats.shards, "static schedule");
-        assert_eq!(stats.splits, 0);
-
-        // One root value: even the static schedule is a single shard, so
-        // a split-requested run takes the sequential fast path.
-        let c1 = catalog(&[(0, 1)]);
-        let plan1 = CompiledQuery::compile(&patterns::path3()).unwrap();
-        let mut sink1 = CountSink::default();
-        let stats1 = ParCtj::with_pool(4)
-            .with_split(true)
-            .execute(&plan1, &c1, &mut sink1)
-            .unwrap();
-        assert_eq!(stats1.shards, 1, "sequential fast path");
-    }
-
     #[test]
     fn missing_relation_is_an_error() {
         let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
@@ -909,27 +762,23 @@ mod tests {
         Ctj::new().execute(&plan, &c, &mut reference).unwrap();
         assert!(reference.tuples().len() > 4);
         for workers in [1, 2, 7] {
-            for split in [false, true] {
-                let mut sink = CollectSink::new();
-                let err = ParCtj::with_pool(workers)
-                    .with_split(split)
-                    .with_row_limit(4)
-                    .execute(&plan, &c, &mut sink)
-                    .unwrap_err();
-                match err {
-                    JoinError::Cancelled { reason, partial } => {
-                        assert_eq!(reason, triejax_exec::CancelReason::RowLimit);
-                        assert!(partial.results >= 4);
-                    }
-                    other => panic!("expected Cancelled, got {other:?}"),
+            let mut sink = CollectSink::new();
+            let err = ParCtj::with_pool(workers)
+                .with_row_limit(4)
+                .execute(&plan, &c, &mut sink)
+                .unwrap_err();
+            match err {
+                JoinError::Cancelled { reason, partial } => {
+                    assert_eq!(reason, triejax_exec::CancelReason::RowLimit);
+                    assert!(partial.results >= 4);
                 }
-                assert_eq!(
-                    sink.tuples(),
-                    &reference.tuples()[..4],
-                    "{workers} workers, split={split}: the delivered rows \
-                     must be the exact ordered prefix"
-                );
+                other => panic!("expected Cancelled, got {other:?}"),
             }
+            assert_eq!(
+                sink.tuples(),
+                &reference.tuples()[..4],
+                "{workers} workers: the delivered rows must be the exact ordered prefix"
+            );
         }
     }
 

@@ -9,10 +9,7 @@ use triejax_exec::WorkerPool;
 
 use crate::engine::head_slots;
 use crate::lftj::Driver;
-use crate::shard::{
-    can_split, compose_budget, env_split, env_split_depth, execute_sharded, execute_split,
-    make_pool, plan_shards,
-};
+use crate::shard::{compose_budget, execute_sharded, make_pool, plan_shards};
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
 use crate::{
     Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, ResultSink, TrieCache, TrieSet,
@@ -67,11 +64,6 @@ pub struct ParLftj {
     /// Explicit shard count; `None` = seeded from the plan's root-domain
     /// estimate (see `CompiledQuery::shard_granularity`).
     granularity: Option<NonZeroUsize>,
-    /// Explicit dynamic-splitting choice; `None` = `TRIEJAX_SPLIT` or off.
-    split: Option<bool>,
-    /// Explicit sub-root split depth cap; `None` = `TRIEJAX_SPLIT_DEPTH`
-    /// or 0 (root-only splits).
-    split_depth: Option<usize>,
     /// Explicit wall-clock deadline; `None` = `TRIEJAX_DEADLINE_MS` or none.
     deadline: Option<Duration>,
     /// Explicit result-row cap; `None` = `TRIEJAX_ROW_LIMIT` or none.
@@ -142,96 +134,6 @@ impl ParLftj {
     /// The configured shard count, or `None` for plan-seeded.
     pub fn granularity(&self) -> Option<usize> {
         self.granularity.map(NonZeroUsize::get)
-    }
-
-    /// Enables or disables dynamic shard splitting (TrieJax §3.4
-    /// spawn-on-match), overriding the `TRIEJAX_SPLIT` environment
-    /// default.
-    ///
-    /// With splitting on, the plan seeds only one coarse root-range shard
-    /// per worker; whenever a worker goes idle mid-run, a running shard
-    /// observes it at its next root-level advance and hands the unvisited
-    /// tail of its range off as a freshly spawned shard. Results remain
-    /// tuple-for-tuple identical to sequential [`crate::Lftj`];
-    /// [`EngineStats::splits`] and [`EngineStats::split_depth`] report the
-    /// rebalancing. With splitting off (the default), skew is absorbed by
-    /// 4x oversharding plus work stealing alone.
-    ///
-    /// ```
-    /// use triejax_join::ParLftj;
-    ///
-    /// let engine = ParLftj::with_pool(4).with_split(true);
-    /// assert_eq!(engine.splitting(), Some(true));
-    /// ```
-    pub fn with_split(mut self, on: bool) -> Self {
-        self.split = Some(on);
-        self
-    }
-
-    /// The configured splitting choice, or `None` for the `TRIEJAX_SPLIT`
-    /// environment default.
-    pub fn splitting(&self) -> Option<bool> {
-        self.split
-    }
-
-    /// Caps how deep dynamic splits may donate work (TrieJax §3.4
-    /// spawn-on-match at *any* trie level), overriding the
-    /// `TRIEJAX_SPLIT_DEPTH` environment default.
-    ///
-    /// Depth 0 (the default) keeps the root-only splitting of
-    /// [`with_split`](Self::with_split); depth `d` additionally lets a
-    /// running shard donate the unvisited sibling tail of any trie level
-    /// up to `d` — under the bound prefix — whenever a worker goes idle,
-    /// which is the only way to rebalance a query whose root domain is
-    /// too narrow to carve (e.g. a single hub vertex). `usize::MAX`
-    /// uncaps the depth. Splitting itself must still be enabled (via
-    /// [`with_split`](Self::with_split) or `TRIEJAX_SPLIT`) for any
-    /// handoff to happen. Results remain tuple-for-tuple identical to
-    /// sequential [`crate::Lftj`]; [`EngineStats::deep_splits`] reports
-    /// how many handoffs happened below the root.
-    ///
-    /// ```
-    /// use triejax_join::ParLftj;
-    ///
-    /// let engine = ParLftj::with_pool(4).with_split(true).with_split_depth(2);
-    /// assert_eq!(engine.split_depth(), Some(2));
-    /// ```
-    pub fn with_split_depth(mut self, depth: usize) -> Self {
-        self.split_depth = Some(depth);
-        self
-    }
-
-    /// The configured split-depth cap, or `None` for the
-    /// `TRIEJAX_SPLIT_DEPTH` environment default.
-    pub fn split_depth(&self) -> Option<usize> {
-        self.split_depth
-    }
-
-    /// The split-depth cap this run will use: the explicit one if set,
-    /// otherwise the `TRIEJAX_SPLIT_DEPTH` environment default (0 — root
-    /// only — when the variable is unset; `max` uncaps).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `TRIEJAX_SPLIT_DEPTH` is consulted and set to anything
-    /// but a non-negative integer or `"max"`.
-    pub fn effective_split_depth(&self) -> usize {
-        self.split_depth.unwrap_or_else(env_split_depth)
-    }
-
-    /// The splitting choice this run will use: the explicit one if set,
-    /// otherwise the `TRIEJAX_SPLIT` environment default (off when the
-    /// variable is unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `TRIEJAX_SPLIT` is consulted and set to anything but a
-    /// recognised on/off spelling (`0`/`1`/`true`/`false`/`on`/`off`) — an
-    /// explicitly configured mode that silently fell back to "off" would
-    /// defeat the configuration's purpose (e.g. CI pinning
-    /// `TRIEJAX_SPLIT=1` to force the split paths through the test suite).
-    pub fn effective_split(&self) -> bool {
-        self.split.unwrap_or_else(env_split)
     }
 
     /// Caps the run's wall-clock time, overriding the `TRIEJAX_DEADLINE_MS`
@@ -451,28 +353,16 @@ impl ParLftj {
         worker: B,
         budget: Option<&RunBudget>,
     ) -> Result<EngineStats<T>, JoinError> {
-        // Splitting needs a spare worker to hand work to, plus either a
-        // root domain wide enough to carve or permission to split below
-        // the root (where a narrow root domain is irrelevant); otherwise
-        // fall back to the static schedule (and its sequential
-        // single-shard fast path).
-        let depth_cap = self.effective_split_depth();
-        let split = self.effective_split()
-            && pool.workers() > 1
-            && (can_split(plan, set) || depth_cap >= 1);
         let ranges = plan_shards(
             plan,
             catalog,
             set,
             pool.workers(),
             self.granularity.map(NonZeroUsize::get),
-            split,
         );
 
-        // With splitting on, even a single seeded range spreads itself
-        // across the idle pool; without it, a lone range runs
-        // sequentially.
-        if !split && ranges.len() <= 1 {
+        // A lone range runs sequentially on the calling thread.
+        if ranges.len() <= 1 {
             let mut driver = Driver::<T, B, S::Cur>::budgeted(plan, set, 0, None, driving)?;
             driver.run(sink);
             let mut stats = driver.stats;
@@ -484,46 +374,26 @@ impl ParLftj {
 
         // Validate the emission plan up front so shard workers cannot fail.
         head_slots(plan)?;
-        let new_driver = |min, sup| {
-            let mut d = Driver::<T, B, S::Cur>::budgeted(plan, set, min, sup, worker.clone())
-                .expect("emission plan validated before the parallel phase");
-            d.emit_passthrough(); // the ShardSink already batches
-            d
-        };
-        let (shard_stats, pool_stats) = if split {
-            execute_split(
-                pool,
-                &ranges,
-                plan.arity(),
-                depth_cap,
-                sink,
-                budget,
-                |_ctx, depth, prefix, min, sup, shard_sink, ctl| {
-                    let mut driver = new_driver(0, None);
-                    driver.run_split_at(depth, prefix, min, sup, shard_sink, ctl);
-                    driver.stats
-                },
-            )
-        } else {
-            execute_sharded(
-                pool,
-                &ranges,
-                plan.arity(),
-                sink,
-                budget,
-                |_ctx, _lane, min, sup, shard_sink| {
-                    let mut driver = new_driver(min, sup);
-                    driver.run(shard_sink);
-                    driver.stats
-                },
-            )
-        };
+        let (shard_stats, pool_stats) = execute_sharded(
+            pool,
+            &ranges,
+            plan.arity(),
+            sink,
+            budget,
+            |_ctx, _lane, min, sup, shard_sink| {
+                let mut driver =
+                    Driver::<T, B, S::Cur>::budgeted(plan, set, min, sup, worker.clone())
+                        .expect("emission plan validated before the parallel phase");
+                driver.emit_passthrough(); // the ShardSink already batches
+                driver.run(shard_sink);
+                driver.stats
+            },
+        );
 
         let mut stats = EngineStats::<T>::default();
         for shard in &shard_stats {
             stats.merge(shard);
         }
-        // Split shards are shards too: count every task the pool ran.
         stats.shards = pool_stats.tasks as u64;
         stats.steals = pool_stats.steals;
         stats.trie_build_ns = trie_build_ns;
@@ -618,16 +488,10 @@ mod tests {
                     .execute(&plan, &c, &mut sink)
                     .unwrap();
                 assert_eq!(sink.tuples(), reference.tuples(), "{p} x{shards}");
-                // Only the *seeded* shard count is bounded by the request:
-                // when `TRIEJAX_SPLIT` is on, idle workers may split extra
-                // shards off mid-run, and each is counted in both `shards`
-                // and `splits`.
-                let seeded = stats.shards - stats.splits;
                 assert!(
-                    seeded >= 1 && seeded <= shards as u64,
-                    "{p} x{shards}: reported {} shards ({} split off)",
-                    stats.shards,
-                    stats.splits
+                    stats.shards >= 1 && stats.shards <= shards as u64,
+                    "{p} x{shards}: reported {} shards",
+                    stats.shards
                 );
             }
         }
@@ -664,12 +528,7 @@ mod tests {
         let c = catalog(&test_edges());
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
         let mut sink = CountSink::default();
-        // Pinned to the static schedule: with splitting (builder or env)
-        // the initial cut is deliberately coarse, not oversharded.
-        let stats = ParLftj::with_pool(4)
-            .with_split(false)
-            .execute(&plan, &c, &mut sink)
-            .unwrap();
+        let stats = ParLftj::with_pool(4).execute(&plan, &c, &mut sink).unwrap();
         assert!(
             stats.shards > 4,
             "4 workers over a 40-value domain should overshard, got {}",
@@ -700,28 +559,6 @@ mod tests {
         assert_eq!(sink.tuples(), reference.tuples());
     }
 
-    /// A root domain too narrow to ever carve (< 3 values) must not pay
-    /// for the splitting machinery: the run falls back to the static
-    /// schedule and behaves exactly as if splitting were off.
-    #[test]
-    fn split_on_a_tiny_root_domain_falls_back_to_the_static_schedule() {
-        let c = catalog(&[(0, 1), (1, 0)]);
-        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
-        let mut reference = CollectSink::new();
-        let static_stats = ParLftj::with_pool(4)
-            .with_split(false)
-            .execute(&plan, &c, &mut reference)
-            .unwrap();
-        let mut sink = CollectSink::new();
-        let stats = ParLftj::with_pool(4)
-            .with_split(true)
-            .execute(&plan, &c, &mut sink)
-            .unwrap();
-        assert_eq!(sink.tuples(), reference.tuples());
-        assert_eq!(stats.shards, static_stats.shards, "static schedule");
-        assert_eq!(stats.splits, 0);
-    }
-
     #[test]
     fn missing_relation_is_an_error() {
         let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
@@ -739,30 +576,26 @@ mod tests {
         Lftj::new().execute(&plan, &c, &mut reference).unwrap();
         assert!(reference.tuples().len() > 3);
         for workers in [1, 2, 7] {
-            for split in [false, true] {
-                let mut sink = CollectSink::new();
-                let err = ParLftj::with_pool(workers)
-                    .with_split(split)
-                    .with_row_limit(3)
-                    .execute(&plan, &c, &mut sink)
-                    .unwrap_err();
-                match err {
-                    JoinError::Cancelled { reason, partial } => {
-                        assert_eq!(reason, triejax_exec::CancelReason::RowLimit);
-                        assert!(
-                            partial.results >= 3,
-                            "workers emitted at least the delivered rows"
-                        );
-                    }
-                    other => panic!("expected Cancelled, got {other:?}"),
+            let mut sink = CollectSink::new();
+            let err = ParLftj::with_pool(workers)
+                .with_row_limit(3)
+                .execute(&plan, &c, &mut sink)
+                .unwrap_err();
+            match err {
+                JoinError::Cancelled { reason, partial } => {
+                    assert_eq!(reason, triejax_exec::CancelReason::RowLimit);
+                    assert!(
+                        partial.results >= 3,
+                        "workers emitted at least the delivered rows"
+                    );
                 }
-                assert_eq!(
-                    sink.tuples(),
-                    &reference.tuples()[..3],
-                    "{workers} workers, split={split}: the delivered rows \
-                     must be the exact ordered prefix"
-                );
+                other => panic!("expected Cancelled, got {other:?}"),
             }
+            assert_eq!(
+                sink.tuples(),
+                &reference.tuples()[..3],
+                "{workers} workers: the delivered rows must be the exact ordered prefix"
+            );
         }
     }
 
@@ -829,10 +662,7 @@ mod tests {
 
     #[test]
     fn effective_budget_is_none_without_knobs() {
-        assert!(ParLftj::with_pool(4)
-            .with_split(true)
-            .effective_budget()
-            .is_none());
+        assert!(ParLftj::with_pool(4).effective_budget().is_none());
         let governed = ParLftj::new().with_row_limit(10).effective_budget();
         assert_eq!(governed.unwrap().row_limit(), Some(10));
     }

@@ -527,7 +527,6 @@ impl Session {
             cache: Arc::clone(&self.cache),
             workers: self.pool.workers(),
             granularity: None,
-            split: None,
             deadline: None,
             row_limit: None,
             ctj: false,
@@ -717,7 +716,7 @@ impl Watcher {
 }
 
 /// One query's configuration against a [`Session`]: the per-query budgets
-/// (row limit, deadline, shard granularity, splitting) layered over the
+/// (row limit, deadline, shard granularity) layered over the
 /// session's shared state.
 ///
 /// Consume it with [`QueryHandle::stream`] for incremental pull-based
@@ -730,7 +729,6 @@ pub struct QueryHandle {
     cache: Arc<TrieCache>,
     workers: usize,
     granularity: Option<usize>,
-    split: Option<bool>,
     deadline: Option<Duration>,
     row_limit: Option<u64>,
     ctj: bool,
@@ -760,13 +758,6 @@ impl QueryHandle {
     /// Panics if `shards == 0` (when the query runs).
     pub fn with_granularity(mut self, shards: usize) -> Self {
         self.granularity = Some(shards);
-        self
-    }
-
-    /// Enables or disables dynamic shard splitting for this query,
-    /// overriding the `TRIEJAX_SPLIT` environment default.
-    pub fn with_split(mut self, on: bool) -> Self {
-        self.split = Some(on);
         self
     }
 
@@ -828,9 +819,6 @@ impl QueryHandle {
                     <$engine>::with_pool(self.workers).with_trie_cache(Arc::clone(&self.cache));
                 if let Some(g) = self.granularity {
                     e = e.with_granularity(g);
-                }
-                if let Some(s) = self.split {
-                    e = e.with_split(s);
                 }
                 if let Some(d) = self.deadline {
                     e = e.with_deadline(d);

@@ -36,15 +36,6 @@ pub trait ResultSink {
             self.push(t);
         }
     }
-
-    /// Switches the sink's output lane mid-stream — the continuation half
-    /// of a sub-root dynamic split: after donating a tail at depth ≥ 1,
-    /// the driver redirects its sink to the continuation lane when it
-    /// exits the split level, so everything it produces afterwards drains
-    /// *after* the donee's output. A no-op for every sink except
-    /// [`ShardSink`], which flushes and closes its current lane first.
-    #[doc(hidden)]
-    fn redirect_lane(&mut self, _lane: usize) {}
 }
 
 /// Counts results without storing them — the usual sink for benchmarks,
@@ -258,13 +249,6 @@ impl ResultSink for ShardSink<'_> {
             self.flush();
         }
     }
-
-    fn redirect_lane(&mut self, lane: usize) {
-        debug_assert_ne!(lane, self.lane, "redirect must move to a fresh lane");
-        self.flush();
-        self.merge.finish(self.lane);
-        self.lane = lane;
-    }
 }
 
 impl Drop for ShardSink<'_> {
@@ -421,25 +405,6 @@ mod tests {
         assert_eq!(sink.tuples(), &[vec![1, 2, 3], vec![4, 5, 6]]);
         emitter.flush(&mut sink); // empty flush is a no-op
         assert_eq!(sink.len(), 2);
-    }
-
-    #[test]
-    fn redirect_lane_flushes_then_moves_the_stream() {
-        // Lanes drain in order 0, 1, 2. The shard starts on lane 0, a
-        // donee owns lane 1, and the shard continues on lane 2: rows
-        // pushed after the redirect must drain after the donee's.
-        let merge = OrderedMerge::new(3);
-        {
-            let mut donor = ShardSink::new(&merge, 0, 2);
-            donor.push(&[1, 1]);
-            donor.redirect_lane(2);
-            donor.push(&[9, 9]);
-            let mut donee = ShardSink::new(&merge, 1, 2);
-            donee.push(&[5, 5]);
-        }
-        let mut rows: Vec<Value> = Vec::new();
-        merge.drain(|batch| rows.extend(batch));
-        assert_eq!(rows, vec![1, 1, 5, 5, 9, 9]);
     }
 
     #[test]

@@ -196,58 +196,6 @@ impl<'a> TrieCursor<'a> {
         true
     }
 
-    /// Descends one level restricted to values in `[min, sup)` (`sup =
-    /// None` means unbounded above): the any-depth generalization of
-    /// [`open_root_range`](Self::open_root_range). Above the root it *is*
-    /// `open_root_range`; on an inner node it reads the child-range words
-    /// like [`open`](Self::open) and then locates the bounds by counted
-    /// binary search within the child range.
-    ///
-    /// This is the donee-entry operation of a sub-root dynamic split: the
-    /// spawned task re-binds the donor's prefix and then opens the donated
-    /// level clamped to the handed-off tail `[boundary, old_sup)`.
-    ///
-    /// Returns `false` (cursor depth unchanged) when no child value falls
-    /// inside the range.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a leaf-level node or on an ended level.
-    pub fn open_range<T: Tally>(
-        &mut self,
-        min: Value,
-        sup: Option<Value>,
-        counter: &mut T,
-    ) -> bool {
-        if self.frames.is_empty() {
-            return self.open_root_range(min, sup, counter);
-        }
-        let depth = self.frames.len();
-        assert!(depth < self.trie.arity(), "cannot open past the leaf level");
-        let f = self.frames.last().expect("non-empty frames");
-        assert!(f.pos < f.hi, "cannot open an ended level");
-        // Midwife reads child_starts[pos] and child_starts[pos + 1].
-        counter.record(AccessKind::IndexRead, 2 * WORD_BYTES);
-        let (lo, hi) = self.levels[depth - 1].child_range(f.pos);
-        let values = self.levels[depth].values();
-        let lo = if min == 0 {
-            lo
-        } else {
-            lower_bound(values, lo, hi, min, counter)
-        };
-        let hi = match sup {
-            Some(s) => lower_bound(values, lo, hi, s, counter),
-            None => hi,
-        };
-        if lo >= hi {
-            return false;
-        }
-        // Fetch the first in-range value.
-        counter.record(AccessKind::IndexRead, WORD_BYTES);
-        self.frames.push(Frame { lo, hi, pos: lo });
-        true
-    }
-
     /// Clones this cursor with the root level opened and restricted to
     /// values in `[min, sup)`, or `None` when the range holds no root
     /// value.
@@ -275,106 +223,6 @@ impl<'a> TrieCursor<'a> {
         } else {
             None
         }
-    }
-
-    /// Shrinks the deepest open level's sibling range to values `< sup`,
-    /// locating the new bound by counted binary search (one probe per
-    /// midpoint read, like [`seek`](Self::seek)).
-    ///
-    /// This is the parent side of a dynamic shard split: after handing
-    /// the unvisited tail `[sup, old_sup)` of the level — the root for a
-    /// classic range split, an inner level under a bound prefix for a
-    /// sub-root split — to a freshly spawned task, a driver clamps every
-    /// participating cursor so its own leapfrog never walks into the
-    /// range it just gave away.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cursor is above the root, at the end of its level,
-    /// or positioned at/beyond `sup`.
-    pub fn clamp_sup<T: Tally>(&mut self, sup: Value, counter: &mut T) {
-        let depth = self.frames.len();
-        assert!(depth >= 1, "clamp applies to an open level");
-        let values = self.levels[depth - 1].values();
-        let f = self.frames.last_mut().expect("non-empty frames");
-        assert!(f.pos < f.hi, "cursor is at end");
-        assert!(
-            values[f.pos] < sup,
-            "split boundary must lie beyond the current key"
-        );
-        f.hi = lower_bound(values, f.pos, f.hi, sup, counter);
-    }
-
-    /// Lenient any-depth variant of [`clamp_sup`](Self::clamp_sup) for
-    /// composite cursors whose constituent side may sit at the end of the
-    /// level, or at/past the boundary, when the *merged* key is still
-    /// below it. Such a side has nothing left below `sup`, so its frame is
-    /// ended in place without probing.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cursor is above the root.
-    pub(crate) fn clamp_sup_lenient<T: Tally>(&mut self, sup: Value, counter: &mut T) {
-        let depth = self.frames.len();
-        assert!(depth >= 1, "clamp applies to an open level");
-        let values = self.levels[depth - 1].values();
-        let f = self.frames.last_mut().expect("non-empty frames");
-        if f.pos >= f.hi || values[f.pos] >= sup {
-            f.hi = f.pos;
-            return;
-        }
-        f.hi = lower_bound(values, f.pos, f.hi, sup, counter);
-    }
-
-    /// Number of sibling keys strictly after the current position on the
-    /// deepest open level (0 when that level has ended). This is the
-    /// donor-side size of a prospective dynamic split at the current
-    /// depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cursor is above the root.
-    pub fn unvisited(&self) -> usize {
-        let f = self.frames.last().expect("cursor is above the root");
-        if f.pos >= f.hi {
-            0
-        } else {
-            f.hi - f.pos - 1
-        }
-    }
-
-    /// The key at which this cursor would cut the unvisited tail of its
-    /// deepest open level in half — the boundary a dynamic split donates.
-    /// Requires `unvisited() >= 1`; the returned key is strictly greater
-    /// than [`key`](Self::key).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cursor is above the root or the tail is empty.
-    pub fn split_boundary(&self) -> Value {
-        let depth = self.frames.len();
-        assert!(depth >= 1, "cursor is above the root");
-        let f = self.frames.last().expect("non-empty frames");
-        let remaining = self.unvisited();
-        assert!(remaining >= 1, "no unvisited tail to split");
-        self.levels[depth - 1].values()[f.pos + 1 + remaining / 2]
-    }
-
-    /// Whether any sibling in `[boundary, hi)` remains on the deepest open
-    /// level — the participant-validation probe of a sub-root dynamic
-    /// split. The probe is a counted binary search, charged exactly like a
-    /// root clamp search, so instrumented counts stay exact under deep
-    /// splitting.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cursor is above the root.
-    pub fn tail_contains<T: Tally>(&self, boundary: Value, counter: &mut T) -> bool {
-        let depth = self.frames.len();
-        assert!(depth >= 1, "cursor is above the root");
-        let values = self.levels[depth - 1].values();
-        let f = self.frames.last().expect("non-empty frames");
-        lower_bound(values, f.pos, f.hi, boundary, counter) < f.hi
     }
 
     /// Ascends one level.
@@ -710,61 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn clamp_sup_shrinks_the_live_frame() {
-        // Root level: [1, 3, 7].
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        assert!(cur.open_root_range(0, None, &mut c));
-        assert_eq!(cur.key(), 1);
-        let before = c.index_reads;
-        cur.clamp_sup(7, &mut c);
-        assert!(c.index_reads > before, "the bounding search is counted");
-        assert_eq!(cur.key(), 1, "current position is untouched");
-        assert!(cur.next(&mut c));
-        assert_eq!(cur.key(), 3);
-        assert!(!cur.next(&mut c), "7 was clamped away");
-    }
-
-    #[test]
-    fn clamp_sup_can_leave_only_the_current_key() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(3, &mut c);
-        cur.clamp_sup(4, &mut c); // everything after 3 is handed off
-        assert_eq!(cur.key(), 3);
-        assert!(!cur.next(&mut c));
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the current key")]
-    fn clamp_sup_at_or_before_the_current_key_panics() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(3, &mut c);
-        cur.clamp_sup(3, &mut c);
-    }
-
-    #[test]
-    fn clamp_sup_applies_to_the_deepest_open_level() {
-        // Children of root value 1 are [2, 5] (see `trie()`): clamping
-        // the open leaf level keeps the parent's range untouched.
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.open(&mut c);
-        cur.clamp_sup(5, &mut c);
-        assert!(!cur.next(&mut c), "5 was clamped away");
-        cur.up();
-        assert!(cur.next(&mut c), "the root level keeps its full range");
-    }
-
-    #[test]
     #[should_panic(expected = "above the root")]
     fn open_root_range_below_root_panics() {
         let t = trie();
@@ -780,121 +573,5 @@ mod tests {
         let t = trie();
         let cur = TrieCursor::new(&t);
         let _ = cur.key();
-    }
-
-    #[test]
-    fn open_range_above_the_root_is_open_root_range() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        assert!(cur.open_range(3, Some(8), &mut c));
-        assert_eq!((cur.depth(), cur.key()), (1, 3));
-        assert!(cur.next(&mut c));
-        assert_eq!(cur.key(), 7);
-        assert!(
-            !cur.next(&mut c),
-            "sup is exclusive of nothing here; level ends"
-        );
-    }
-
-    #[test]
-    fn open_range_on_an_inner_level_clamps_and_counts() {
-        // Children of 7: [1, 9].
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(7, &mut c);
-        let mut c = AccessCounter::default();
-        assert!(cur.open_range(2, None, &mut c));
-        assert_eq!((cur.depth(), cur.key()), (2, 9));
-        // Child-range words, two lower_bound probes over [1, 9], first
-        // in-range value: exactly four tallied reads.
-        assert_eq!(c.index_reads, 4);
-        assert_eq!(c.index_bytes, (2 + 2 + 1) as u64 * WORD_BYTES);
-        assert!(!cur.next(&mut c));
-    }
-
-    #[test]
-    fn open_range_with_an_empty_window_stays_put() {
-        // Children of 1: [2, 5].
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        assert!(!cur.open_range(6, Some(9), &mut c));
-        assert_eq!((cur.depth(), cur.key()), (1, 1));
-    }
-
-    #[test]
-    fn clamp_sup_shrinks_an_inner_level() {
-        // Children of 7: [1, 9]; clamping at 9 hands the tail away.
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(7, &mut c);
-        cur.open(&mut c);
-        assert_eq!((cur.key(), cur.unvisited()), (1, 1));
-        cur.clamp_sup(9, &mut c);
-        assert_eq!(cur.unvisited(), 0);
-        assert!(!cur.next(&mut c));
-    }
-
-    #[test]
-    fn tail_validation_probes_are_tallied_below_the_root() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(7, &mut c);
-        cur.open(&mut c); // children [1, 9], at 1
-        let before = c.index_reads;
-        assert!(cur.tail_contains(9, &mut c));
-        assert_eq!(
-            c.index_reads - before,
-            2,
-            "deep-tail validation is charged per binary probe"
-        );
-        // Children of 1: [2, 5] hold nothing at or beyond 6.
-        let mut other = TrieCursor::new(&t);
-        other.open(&mut c);
-        other.open(&mut c);
-        let before = c.index_reads;
-        assert!(!other.tail_contains(6, &mut c));
-        assert!(c.index_reads > before);
-    }
-
-    #[test]
-    fn split_boundary_halves_an_inner_tail() {
-        // Children of 7: [1, 9]; from 1 the midpoint of the 1-key tail is 9.
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(7, &mut c);
-        cur.open(&mut c);
-        assert_eq!(cur.split_boundary(), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "no unvisited tail")]
-    fn split_boundary_with_no_tail_panics() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.next(&mut c); // at 3
-        cur.open(&mut c); // children [4]: no tail
-        let _ = cur.split_boundary();
-    }
-
-    #[test]
-    #[should_panic(expected = "open level")]
-    fn clamp_sup_above_the_root_panics() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.clamp_sup(5, &mut c);
     }
 }

@@ -289,69 +289,6 @@ impl<'a> JoinCursor for MergeCursor<'a> {
         true
     }
 
-    fn open_range<T: Tally>(&mut self, min: Value, sup: Option<Value>, counter: &mut T) -> bool {
-        let d = self.frames.len();
-        if d == 0 {
-            return self.open_root_range(min, sup, counter);
-        }
-        assert!(d < self.arity, "cannot open past the leaf level");
-        let f = *self.frames.last().expect("non-empty frames");
-        let k = self.key(); // panics on an ended level, like TrieCursor
-        let desc_base = self.base_key() == Some(k);
-        let desc_delta = self.delta_key() == Some(k);
-        let (tomb_lo, tomb_hi) = self.narrow_tomb(&f, d - 1, k, counter);
-        let base_open = desc_base
-            && self
-                .base
-                .as_mut()
-                .expect("descending side")
-                .open_range(min, sup, counter);
-        let delta_open = desc_delta
-            && self
-                .delta
-                .as_mut()
-                .expect("descending side")
-                .open_range(min, sup, counter);
-        if !base_open && !delta_open {
-            return false;
-        }
-        self.frames.push(MergeFrame {
-            base_open,
-            delta_open,
-            tomb_lo,
-            tomb_hi,
-        });
-        if self.frames.len() == self.arity && !self.settle_leaf(counter) {
-            self.pop_level();
-            return false;
-        }
-        true
-    }
-
-    fn clamp_sup<T: Tally>(&mut self, sup: Value, counter: &mut T) {
-        assert!(!self.frames.is_empty(), "clamp applies to an open level");
-        let f = *self.frames.last().expect("non-empty frames");
-        assert!(
-            self.key() < sup,
-            "split boundary must lie beyond the current key"
-        );
-        // Individual sides may sit at or past the boundary (the merged
-        // key is the minimum over sides), so the clamp is lenient per
-        // side: such a side simply ends in place.
-        if f.base_open {
-            self.base
-                .as_mut()
-                .expect("flagged side exists")
-                .clamp_sup_lenient(sup, counter);
-        }
-        if f.delta_open {
-            self.delta
-                .as_mut()
-                .expect("flagged side exists")
-                .clamp_sup_lenient(sup, counter);
-        }
-    }
-
     fn up(&mut self) {
         self.pop_level();
     }
@@ -413,70 +350,6 @@ impl<'a> JoinCursor for MergeCursor<'a> {
             tomb: self.tomb,
             frames: Vec::with_capacity(self.arity),
         }
-    }
-
-    fn unvisited(&self) -> usize {
-        assert!(
-            !self.frames.is_empty(),
-            "split hooks apply to an open level"
-        );
-        let f = self.frames.last().expect("non-empty frames");
-        // When the last merge frame flags a side open, that side's own
-        // deepest frame sits at the same depth (descent flags are
-        // monotone: a side that drops out never re-enters deeper), so the
-        // side's deepest-level tail is exactly its share of the merged
-        // tail.
-        let tail = |c: &Option<TrieCursor<'_>>, open: bool| -> usize {
-            match c {
-                Some(c) if open => c.unvisited(),
-                _ => 0,
-            }
-        };
-        tail(&self.base, f.base_open) + tail(&self.delta, f.delta_open)
-    }
-
-    fn split_boundary(&self) -> Value {
-        let depth = self.frames.len();
-        assert!(depth >= 1, "split hooks apply to an open level");
-        let f = self.frames.last().expect("non-empty frames");
-        let tail = |c: &Option<TrieCursor<'_>>, open: bool| -> usize {
-            match c {
-                Some(c) if open => c.unvisited(),
-                _ => 0,
-            }
-        };
-        let base_tail = tail(&self.base, f.base_open);
-        let delta_tail = tail(&self.delta, f.delta_open);
-        assert!(base_tail + delta_tail >= 1, "no unvisited tail to split");
-        // Cut the longer side's tail in half; the boundary is strictly
-        // greater than that side's current key, hence than the merged
-        // key. Boundaries need not exist on the other side — donated
-        // tails cover contiguous value ranges, not members.
-        let donor = if base_tail >= delta_tail {
-            self.base.as_ref().expect("non-zero tail")
-        } else {
-            self.delta.as_ref().expect("non-zero tail")
-        };
-        donor.split_boundary()
-    }
-
-    fn tail_contains<T: Tally>(&self, boundary: Value, counter: &mut T) -> bool {
-        assert!(
-            !self.frames.is_empty(),
-            "split hooks apply to an open level"
-        );
-        let f = self.frames.last().expect("non-empty frames");
-        let side = |c: &Option<TrieCursor<'_>>, open: bool, counter: &mut T| -> bool {
-            match c {
-                Some(c) if open => c.tail_contains(boundary, counter),
-                _ => false,
-            }
-        };
-        // Probe both sides unconditionally so the tally does not depend
-        // on which side answers first.
-        let in_base = side(&self.base, f.base_open, counter);
-        let in_delta = side(&self.delta, f.delta_open, counter);
-        in_base || in_delta
     }
 
     fn cache_pos(&self) -> u32 {
@@ -604,107 +477,27 @@ mod tests {
     }
 
     #[test]
-    fn root_range_and_clamp_respect_side_skew() {
+    fn root_range_respects_side_skew() {
         // Base roots [1, 3]; delta roots [5, 7, 9].
         let base_rel = Relation::from_pairs(vec![(1, 1), (3, 3)]);
         let delta_rel = Relation::from_pairs(vec![(5, 5), (7, 7), (9, 9)]);
         let base = Trie::build(&base_rel);
         let dtrie = Trie::build(&delta_rel);
         let none = Relation::new(2).unwrap();
-        let mut cur = MergeCursor::new(Some(&base), Some(&dtrie), &none);
+        // [0, 5): only the base side has roots in range.
+        let mut head = MergeCursor::new(Some(&base), Some(&dtrie), &none);
         let mut c = AccessCounter::default();
-        assert!(cur.open_root_range(0, None, &mut c));
-        assert_eq!(cur.key(), 1);
-        // unvisited: base 1 (the 3), delta 3 (5/7/9 minus the current? no
-        // — delta is positioned at 5, so 7 and 9 remain) = 1 + 2 = 3.
-        assert_eq!(cur.unvisited(), 3);
-        // Clamp at 5: the base keeps [1, 3], the delta side ends.
-        cur.clamp_sup(5, &mut c);
-        assert_eq!(cur.key(), 1);
-        assert!(cur.next(&mut c));
-        assert_eq!(cur.key(), 3);
-        assert!(!cur.next(&mut c), "5/7/9 were clamped away");
-        // The handed-off range opens on a fresh cursor.
-        let mut tail = cur.fresh();
+        assert!(head.open_root_range(0, Some(5), &mut c));
+        assert_eq!(head.key(), 1);
+        assert!(head.next(&mut c));
+        assert_eq!(head.key(), 3);
+        assert!(!head.next(&mut c), "5/7/9 lie beyond the range");
+        // [5, ∞) on a fresh twin: only the delta side contributes.
+        let mut tail = head.fresh();
         assert!(tail.open_root_range(5, None, &mut c));
         assert_eq!(tail.key(), 5);
         assert!(tail.next(&mut c));
         assert_eq!(tail.key(), 7);
-    }
-
-    #[test]
-    fn split_boundary_comes_from_the_longer_side() {
-        let base_rel = Relation::from_pairs(vec![(1, 1)]);
-        let delta_rel = Relation::from_pairs(vec![(2, 2), (4, 4), (6, 6), (8, 8)]);
-        let base = Trie::build(&base_rel);
-        let dtrie = Trie::build(&delta_rel);
-        let none = Relation::new(2).unwrap();
-        let mut cur = MergeCursor::new(Some(&base), Some(&dtrie), &none);
-        let mut c = AccessCounter::default();
-        assert!(cur.open(&mut c));
-        assert_eq!(cur.key(), 1);
-        // Base tail 0, delta tail 3 (positioned at 2; 4/6/8 remain).
-        assert_eq!(cur.unvisited(), 3);
-        let boundary = cur.split_boundary();
-        // Delta donor: values[0 + 1 + 3/2] = values[2] = 6.
-        assert_eq!(boundary, 6);
-        assert!(boundary > cur.key());
-    }
-
-    #[test]
-    fn deep_split_hooks_cover_both_sides_of_the_merge() {
-        // Children of 1: base [2, 6], delta [4, 8].
-        let base_rel = Relation::from_pairs(vec![(1, 2), (1, 6)]);
-        let delta_rel = Relation::from_pairs(vec![(1, 4), (1, 8)]);
-        let base = Trie::build(&base_rel);
-        let dtrie = Trie::build(&delta_rel);
-        let none = Relation::new(2).unwrap();
-        let mut cur = MergeCursor::new(Some(&base), Some(&dtrie), &none);
-        let mut c = AccessCounter::default();
-        assert!(cur.open(&mut c));
-        assert!(cur.open(&mut c));
-        assert_eq!((cur.depth(), cur.key()), (2, 2));
-        // Base tail 1 (the 6), delta tail 1 (the 8).
-        assert_eq!(cur.unvisited(), 2);
-        // Equal tails: the base wins the tie; boundary = base values[1] = 6.
-        assert_eq!(cur.split_boundary(), 6);
-        let before = c.index_reads;
-        assert!(cur.tail_contains(6, &mut c));
-        assert!(c.index_reads > before, "deep validation probes are tallied");
-        assert!(!cur.tail_contains(9, &mut c));
-        // Donor half: clamp the child level below 6 → only 2 and 4 remain.
-        cur.clamp_sup(6, &mut c);
-        assert!(cur.next(&mut c));
-        assert_eq!(cur.key(), 4);
-        assert!(!cur.next(&mut c), "6 and 8 were donated");
-        // Donee half: re-descend under the prefix into [6, ∞).
-        let mut donee = cur.fresh();
-        assert!(donee.open(&mut c));
-        assert!(donee.open_range(6, None, &mut c));
-        assert_eq!((donee.depth(), donee.key()), (2, 6));
-        assert!(donee.next(&mut c));
-        assert_eq!(donee.key(), 8);
-        assert!(!donee.next(&mut c));
-    }
-
-    #[test]
-    fn open_range_skips_tombstoned_leaves() {
-        // Children of 1 in the merged view: base [2, 6, 8] minus tomb (1,6).
-        let base_rel = Relation::from_pairs(vec![(1, 2), (1, 6), (1, 8)]);
-        let base = Trie::build(&base_rel);
-        let tomb = Relation::from_pairs(vec![(1, 6)]);
-        let mut cur = MergeCursor::new(Some(&base), None, &tomb);
-        let mut c = AccessCounter::default();
-        assert!(cur.open(&mut c));
-        assert!(cur.open_range(3, None, &mut c));
-        assert_eq!(cur.key(), 8, "tombstoned 6 is settled past");
-        assert!(!cur.next(&mut c));
-        // A window holding only tombstoned values is a phantom: the
-        // descent is undone.
-        let mut phantom = cur.fresh();
-        assert!(phantom.open(&mut c));
-        assert!(!phantom.open_range(3, Some(7), &mut c));
-        assert_eq!(phantom.depth(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! must answer every paper pattern **tuple-for-tuple, in order** like a
 //! catalog rebuilt from scratch over the merged view — through every
 //! engine (sequential LFTJ/CTJ/GenericJoin and the pool engines at sizes
-//! 1/2/7, split on and off, both tally modes), and at **every compaction
+//! 1/2/7, both tally modes), and at **every compaction
 //! threshold**: eager (ratio 0), the default 0.5, and never (∞) must all
 //! produce the same stream.
 
@@ -79,38 +79,36 @@ fn check_every_engine(
     check_seq!("generic", GenericJoin::new());
 
     for pool in POOL_SIZES {
-        for split in [false, true] {
-            for counting in [true, false] {
-                let mut sink = CollectSink::new();
-                let mut lftj = ParLftj::with_pool(pool).with_split(split);
-                if counting {
-                    lftj.run_tallied_with::<Counting>(plan, catalog, deltas, &mut sink)
-                        .expect("runs");
-                } else {
-                    lftj.run_tallied_with::<NoTally>(plan, catalog, deltas, &mut sink)
-                        .expect("runs");
-                }
-                assert_eq!(
-                    sink.tuples(),
-                    expect,
-                    "{context}: parlftj pool={pool} split={split} counting={counting}"
-                );
-
-                let mut sink = CollectSink::new();
-                let mut ctj = ParCtj::with_pool(pool).with_split(split);
-                if counting {
-                    ctj.run_tallied_with::<Counting>(plan, catalog, deltas, &mut sink)
-                        .expect("runs");
-                } else {
-                    ctj.run_tallied_with::<NoTally>(plan, catalog, deltas, &mut sink)
-                        .expect("runs");
-                }
-                assert_eq!(
-                    sink.tuples(),
-                    expect,
-                    "{context}: parctj pool={pool} split={split} counting={counting}"
-                );
+        for counting in [true, false] {
+            let mut sink = CollectSink::new();
+            let mut lftj = ParLftj::with_pool(pool);
+            if counting {
+                lftj.run_tallied_with::<Counting>(plan, catalog, deltas, &mut sink)
+                    .expect("runs");
+            } else {
+                lftj.run_tallied_with::<NoTally>(plan, catalog, deltas, &mut sink)
+                    .expect("runs");
             }
+            assert_eq!(
+                sink.tuples(),
+                expect,
+                "{context}: parlftj pool={pool} counting={counting}"
+            );
+
+            let mut sink = CollectSink::new();
+            let mut ctj = ParCtj::with_pool(pool);
+            if counting {
+                ctj.run_tallied_with::<Counting>(plan, catalog, deltas, &mut sink)
+                    .expect("runs");
+            } else {
+                ctj.run_tallied_with::<NoTally>(plan, catalog, deltas, &mut sink)
+                    .expect("runs");
+            }
+            assert_eq!(
+                sink.tuples(),
+                expect,
+                "{context}: parctj pool={pool} counting={counting}"
+            );
         }
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use triejax::{TrieJax, TrieJaxConfig};
 use triejax_graph::{Dataset, Scale};
 use triejax_join::{
-    Catalog, CollectSink, CountSink, Ctj, GenericJoin, JoinEngine, Lftj, PairwiseHash,
+    Catalog, CollectSink, CountSink, Counting, Ctj, GenericJoin, JoinEngine, Lftj, PairwiseHash,
     PairwiseSortMerge,
 };
 use triejax_query::{patterns::Pattern, CompiledQuery};
@@ -133,5 +133,63 @@ proptest! {
         let pw = PairwiseHash::new().execute(&plan, &catalog, &mut s2).expect("runs");
         prop_assert!(ctj.intermediates <= pw.intermediates * 2 + 16,
             "ctj {} vs pairwise {}", ctj.intermediates, pw.intermediates);
+    }
+}
+
+/// The sequential trie-indexed engines build their tries on every run and
+/// must report that time — over frozen relations and over merged delta
+/// views alike.
+#[test]
+fn sequential_engines_report_trie_build_time() {
+    use triejax_join::{DeltaMap, RelationDelta};
+
+    let base = Dataset::GrQc.generate(Scale::Tiny).edge_relation();
+    let mut catalog = Catalog::new();
+    catalog.insert("G", base.clone());
+    let mut deltas = DeltaMap::new();
+    deltas.insert(
+        "G".to_owned(),
+        RelationDelta::empty(2).unwrap().apply_batch(
+            &base,
+            &Relation::from_pairs(vec![(0, 100_000), (100_000, 0)]),
+            &Relation::new(2).unwrap(),
+        ),
+    );
+    let plan = CompiledQuery::compile(&Pattern::Cycle3.query()).expect("compiles");
+    type Run<'a> = (&'a str, &'a dyn Fn(Option<&DeltaMap>) -> u64);
+    let runs: [Run<'_>; 3] = [
+        ("lftj", &|d| {
+            let mut sink = CountSink::default();
+            let stats = match d {
+                None => Lftj::new().run_tallied::<Counting>(&plan, &catalog, &mut sink),
+                Some(d) => Lftj::new().run_tallied_with::<Counting>(&plan, &catalog, d, &mut sink),
+            };
+            stats.expect("runs").trie_build_ns
+        }),
+        ("ctj", &|d| {
+            let mut sink = CountSink::default();
+            let stats = match d {
+                None => Ctj::new().run_tallied::<Counting>(&plan, &catalog, &mut sink),
+                Some(d) => Ctj::new().run_tallied_with::<Counting>(&plan, &catalog, d, &mut sink),
+            };
+            stats.expect("runs").trie_build_ns
+        }),
+        ("generic", &|d| {
+            let mut sink = CountSink::default();
+            let stats = match d {
+                None => GenericJoin::new().run_tallied::<Counting>(&plan, &catalog, &mut sink),
+                Some(d) => {
+                    GenericJoin::new().run_tallied_with::<Counting>(&plan, &catalog, d, &mut sink)
+                }
+            };
+            stats.expect("runs").trie_build_ns
+        }),
+    ];
+    for (name, run) in runs {
+        assert!(run(None) > 0, "{name}: frozen run must report its build");
+        assert!(
+            run(Some(&deltas)) > 0,
+            "{name}: delta run must report its build"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic fault injection against the parallel runtime (compiled
-//! only with `--features faults`): injected panics, delays, and failed
-//! handoffs at every event class must never hang the ordered drain, never
+//! only with `--features faults`): injected panics and delays at every
+//! event class must never hang the ordered drain, never
 //! leak a merge lane, and never corrupt shared-cache accounting. A
 //! panicked run surfaces its payload to the caller (the pool rethrows
 //! after the drain completes), and the very next clean run must be exact
@@ -35,7 +35,7 @@ fn catalog_from(edges: Vec<(u32, u32)>) -> Catalog {
 }
 
 /// Hub star (every vertex joined to 0, both ways): enough root-level
-/// work for splits, steals, and cache traffic to actually occur.
+/// work for shards, steals, and cache traffic to actually occur.
 fn hub_edges() -> Vec<(u32, u32)> {
     let mut edges = Vec::new();
     for i in 1..220u32 {
@@ -90,43 +90,32 @@ fn injected_panics_never_hang_the_drain() {
     for event in [
         FaultEvent::TaskStart,
         FaultEvent::Steal,
-        FaultEvent::SplitHandoff,
         FaultEvent::MergePush,
     ] {
-        for action in [FaultAction::Panic, FaultAction::FailHandoff] {
-            let guard = faults::install(FaultPlan::new().rule(first(event, action)));
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut sink = CollectSink::new();
-                ParLftj::with_pool(4)
-                    .with_granularity(1)
-                    .with_split(true)
-                    .execute(&plan, &catalog, &mut sink)
-                    .expect("a faulted run that completes completes cleanly");
-                sink
-            }));
-            drop(guard);
-            match outcome {
-                Ok(sink) => assert_eq!(
-                    sink.tuples(),
-                    reference,
-                    "{event:?}/{action:?}: untripped run must be exact"
-                ),
-                Err(payload) => assert_injected(payload),
-            }
-            // Whatever the dying worker left behind must not outlive its
-            // run: the next clean run is exact.
-            let mut clean = CollectSink::new();
+        let guard = faults::install(FaultPlan::new().rule(first(event, FaultAction::Panic)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut sink = CollectSink::new();
             ParLftj::with_pool(4)
-                .with_granularity(1)
-                .with_split(true)
-                .execute(&plan, &catalog, &mut clean)
-                .expect("clean run");
-            assert_eq!(
-                clean.tuples(),
+                .execute(&plan, &catalog, &mut sink)
+                .expect("a faulted run that completes completes cleanly");
+            sink
+        }));
+        drop(guard);
+        match outcome {
+            Ok(sink) => assert_eq!(
+                sink.tuples(),
                 reference,
-                "{event:?}/{action:?}: post-fault"
-            );
+                "{event:?}: untripped run must be exact"
+            ),
+            Err(payload) => assert_injected(payload),
         }
+        // Whatever the dying worker left behind must not outlive its
+        // run: the next clean run is exact.
+        let mut clean = CollectSink::new();
+        ParLftj::with_pool(4)
+            .execute(&plan, &catalog, &mut clean)
+            .expect("clean run");
+        assert_eq!(clean.tuples(), reference, "{event:?}: post-fault");
     }
 }
 
@@ -188,23 +177,21 @@ fn delayed_cache_insert_keeps_racing_books_balanced() {
     assert_eq!(stats.cache_misses, 1);
 }
 
-/// The tentpole race: the budget trips while a split handoff is in
-/// flight — the new merge lane is open but its task not yet spawned (the
-/// injected delay pins the window). The drain must still terminate and
+/// The budget trips while a producer is stalled before its first merge
+/// push (the injected delay pins the window), so later shards finish and
+/// buffer out of order behind it. The drain must still terminate and
 /// deliver the exact ordered prefix.
 #[test]
-fn budget_trip_during_inflight_handoff_keeps_the_prefix_exact() {
+fn budget_trip_during_a_stalled_merge_push_keeps_the_prefix_exact() {
     let catalog = catalog_from(hub_edges());
     let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
     let reference = reference_tuples(&plan, &catalog);
     for limit in [1u64, 5, 40] {
         let guard = faults::install(
-            FaultPlan::new().rule(first(FaultEvent::SplitHandoff, FaultAction::Delay(3))),
+            FaultPlan::new().rule(first(FaultEvent::MergePush, FaultAction::Delay(3))),
         );
         let mut sink = CollectSink::new();
         let err = ParLftj::with_pool(4)
-            .with_granularity(1)
-            .with_split(true)
             .with_row_limit(limit)
             .execute(&plan, &catalog, &mut sink)
             .expect_err("limit below total must cancel");
@@ -218,102 +205,29 @@ fn budget_trip_during_inflight_handoff_keeps_the_prefix_exact() {
         assert_eq!(
             sink.tuples(),
             &reference[..limit as usize],
-            "limit={limit}: prefix must survive the in-flight handoff"
+            "limit={limit}: prefix must survive the stalled push"
         );
     }
 }
 
-/// A failed handoff during a deadline-cancelled run: the handoff site
-/// closes its freshly opened lane before panicking, so even the
-/// combination of an injected handoff failure and a tripping budget
-/// leaves no lane for the drain to wait on.
+/// A task dying during a deadline-cancelled run: its shard sink closes
+/// the lane on unwind, so even the combination of an injected task
+/// failure and a tripping budget leaves no lane for the drain to wait on.
 #[test]
-fn failed_handoff_under_a_deadline_never_hangs() {
+fn failed_task_under_a_deadline_never_hangs() {
     let catalog = catalog_from(hub_edges());
     let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
-    let guard = faults::install(
-        FaultPlan::new().rule(first(FaultEvent::SplitHandoff, FaultAction::FailHandoff)),
-    );
+    let guard =
+        faults::install(FaultPlan::new().rule(first(FaultEvent::TaskStart, FaultAction::Panic)));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut sink = CollectSink::new();
         let _ = ParLftj::with_pool(4)
-            .with_granularity(1)
-            .with_split(true)
             .with_deadline(Duration::from_millis(1))
             .execute(&plan, &catalog, &mut sink);
     }));
     drop(guard);
     if let Err(payload) = outcome {
         assert_injected(payload);
-    }
-}
-
-/// A handoff failing at depth >= 1: the fixture's root domain is a single
-/// value, so the only handoffs a splitting run can attempt are sub-root
-/// ones — the window where the tail lane is open (and, uniquely for deep
-/// handoffs, the continuation lane about to be) but the task not yet
-/// spawned. The injected failure must close the fresh lane before
-/// unwinding, so the drain terminates, and the very next clean run must
-/// be exact and actually exercise the deep path it just survived.
-#[test]
-fn failed_deep_handoff_never_hangs_and_recovers_exactly() {
-    use triejax_query::Query;
-
-    let q = Query::builder("deep_fault")
-        .head(["x", "y", "z"])
-        .atom("R", ["x", "y"])
-        .atom("S", ["y", "z"])
-        .build()
-        .unwrap();
-    let plan = CompiledQuery::compile(&q).expect("compiles");
-    let mut catalog = Catalog::new();
-    catalog.insert(
-        "R",
-        Relation::from_pairs((0..260u32).map(|y| (0, y)).collect::<Vec<_>>()),
-    );
-    let mut s: Vec<(u32, u32)> = (0..26_000u32).map(|z| (0, z)).collect();
-    for y in 1..260u32 {
-        for z in 0..4u32 {
-            s.push((y, (y * 31 + z) % 260));
-        }
-    }
-    catalog.insert("S", Relation::from_pairs(s));
-    let reference = reference_tuples(&plan, &catalog);
-
-    for action in [FaultAction::Panic, FaultAction::FailHandoff] {
-        let guard = faults::install(FaultPlan::new().rule(first(FaultEvent::SplitHandoff, action)));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut sink = CollectSink::new();
-            ParLftj::with_pool(4)
-                .with_granularity(1)
-                .with_split(true)
-                .with_split_depth(usize::MAX)
-                .execute(&plan, &catalog, &mut sink)
-                .expect("a faulted run that completes completes cleanly");
-            sink
-        }));
-        drop(guard);
-        match outcome {
-            Ok(sink) => assert_eq!(
-                sink.tuples(),
-                reference,
-                "{action:?}: untripped run must be exact"
-            ),
-            Err(payload) => assert_injected(payload),
-        }
-        let mut clean = CollectSink::new();
-        let stats = ParLftj::with_pool(4)
-            .with_granularity(1)
-            .with_split(true)
-            .with_split_depth(usize::MAX)
-            .execute(&plan, &catalog, &mut clean)
-            .expect("clean run");
-        assert_eq!(clean.tuples(), reference, "{action:?}: post-fault");
-        assert!(
-            stats.deep_splits > 0,
-            "{action:?}: the clean run must take the sub-root path \
-             (root domain is 1, so every handoff here is deep)"
-        );
     }
 }
 
@@ -362,8 +276,8 @@ fn trie_build_panic_surfaces_and_leaves_the_trie_cache_clean() {
     assert_eq!(cache.insertions(), 2, "both distinct builds fill the cache");
 }
 
-/// Seed-driven sweep: deterministic plans drawn over all six event
-/// classes. Every schedule must terminate; completed runs must be exact.
+/// Seed-driven sweep: deterministic plans drawn over every event class a
+/// query run passes through. Every schedule must terminate; completed runs must be exact.
 /// A failure replays from its seed alone.
 #[test]
 fn seeded_fault_sweep_terminates_and_stays_exact() {
@@ -373,7 +287,6 @@ fn seeded_fault_sweep_terminates_and_stays_exact() {
     let events = [
         FaultEvent::TaskStart,
         FaultEvent::Steal,
-        FaultEvent::SplitHandoff,
         FaultEvent::CacheInsert,
         FaultEvent::MergePush,
         FaultEvent::TrieBuild,
@@ -383,8 +296,6 @@ fn seeded_fault_sweep_terminates_and_stays_exact() {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut sink = CollectSink::new();
             ParCtj::with_pool(4)
-                .with_split(true)
-                .with_granularity(1)
                 .execute(&plan, &catalog, &mut sink)
                 .expect("a faulted run that completes completes cleanly");
             sink

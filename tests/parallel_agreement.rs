@@ -1,17 +1,18 @@
 //! The pool-based parallel engines must be **tuple-for-tuple identical**
 //! (same tuples, same order) to their sequential counterparts — on uniform
-//! random graphs and on power-law-skewed ones where a few hub roots carry
-//! most of the work and the pool's work stealing actually rebalances — at
-//! pool sizes 1, 2 and 7, in both `Counting` and `NoTally` modes.
+//! random graphs, on power-law-skewed ones where a few hub roots carry
+//! most of the work and the pool's work stealing actually rebalances, and
+//! on hub-shaped inputs whose root domain is one or two values wide — at
+//! pool sizes 1, 2, 4 and 7, in both `Counting` and `NoTally` modes.
 
 use proptest::prelude::*;
 use triejax_join::{
     Catalog, CollectSink, Counting, Ctj, JoinEngine, Lftj, NoTally, ParCtj, ParLftj,
 };
-use triejax_query::{patterns::Pattern, CompiledQuery};
+use triejax_query::{patterns::Pattern, CompiledQuery, Query};
 use triejax_relation::Relation;
 
-const POOL_SIZES: [usize; 3] = [1, 2, 7];
+const POOL_SIZES: [usize; 4] = [1, 2, 4, 7];
 
 fn catalog_from(edges: Vec<(u32, u32)>) -> Catalog {
     let mut c = Catalog::new();
@@ -41,10 +42,13 @@ fn run_collect(
 
 fn check_all_parallel_engines(catalog: &Catalog, pattern: Pattern) {
     let plan = CompiledQuery::compile(&pattern.query()).expect("compiles");
+    check_plan(catalog, &plan, &pattern.to_string());
+}
 
+fn check_plan(catalog: &Catalog, plan: &CompiledQuery, label: &str) {
     let mut lftj_sink = CollectSink::new();
     Lftj::new()
-        .execute(&plan, catalog, &mut lftj_sink)
+        .execute(plan, catalog, &mut lftj_sink)
         .expect("runs");
     let reference = lftj_sink.tuples();
 
@@ -53,9 +57,9 @@ fn check_all_parallel_engines(catalog: &Catalog, pattern: Pattern) {
     // the parallel engines relies on; assert it as part of the property.
     let mut ctj_sink = CollectSink::new();
     Ctj::new()
-        .execute(&plan, catalog, &mut ctj_sink)
+        .execute(plan, catalog, &mut ctj_sink)
         .expect("runs");
-    assert_eq!(ctj_sink.tuples(), reference, "{pattern}: ctj order");
+    assert_eq!(ctj_sink.tuples(), reference, "{label}: ctj order");
 
     for pool in POOL_SIZES {
         for counting in [true, false] {
@@ -68,12 +72,12 @@ fn check_all_parallel_engines(catalog: &Catalog, pattern: Pattern) {
                         e.run_tallied::<NoTally>(p, c, s).expect("runs").results
                     }
                 },
-                &plan,
+                plan,
                 catalog,
             );
             assert_eq!(
                 par_lftj, reference,
-                "{pattern}: parlftj pool={pool} counting={counting}"
+                "{label}: parlftj pool={pool} counting={counting}"
             );
             assert_eq!(n1 as usize, reference.len());
 
@@ -86,101 +90,16 @@ fn check_all_parallel_engines(catalog: &Catalog, pattern: Pattern) {
                         e.run_tallied::<NoTally>(p, c, s).expect("runs").results
                     }
                 },
-                &plan,
+                plan,
                 catalog,
             );
             assert_eq!(
                 par_ctj, reference,
-                "{pattern}: parctj pool={pool} counting={counting}"
+                "{label}: parctj pool={pool} counting={counting}"
             );
             assert_eq!(n2 as usize, reference.len());
         }
     }
-}
-
-/// Forced-split mode: a single coarse seed on a 4-worker pool, so the
-/// only way the run can use its workers is the dynamic split protocol —
-/// a running shard observes an idle sibling at a root-level advance and
-/// hands off the unvisited tail of its range. The merged stream must
-/// stay tuple-for-tuple sequential regardless of how the range got
-/// carved up. Returns the total splits observed (both engines, both
-/// tally modes); when `require_splits` is set, every individual run must
-/// have split at least once.
-fn check_forced_split(catalog: &Catalog, pattern: Pattern, require_splits: bool) -> u64 {
-    let plan = CompiledQuery::compile(&pattern.query()).expect("compiles");
-    let mut ref_sink = CollectSink::new();
-    Lftj::new()
-        .execute(&plan, catalog, &mut ref_sink)
-        .expect("runs");
-    let reference = ref_sink.tuples();
-
-    type SplitRun<'a> = (
-        &'a str,
-        &'a mut dyn FnMut(&mut CollectSink) -> (u64, u64, u64),
-    );
-
-    let mut total_splits = 0;
-    for counting in [true, false] {
-        let mut lftj_engine = ParLftj::with_pool(4).with_granularity(1).with_split(true);
-        let mut ctj_engine = ParCtj::with_pool(4).with_granularity(1).with_split(true);
-        let runs: [SplitRun<'_>; 2] = [
-            ("parlftj", &mut |sink| {
-                if counting {
-                    let s = lftj_engine
-                        .run_tallied::<Counting>(&plan, catalog, sink)
-                        .expect("runs");
-                    (s.splits, s.split_depth, s.shards)
-                } else {
-                    let s = lftj_engine
-                        .run_tallied::<NoTally>(&plan, catalog, sink)
-                        .expect("runs");
-                    (s.splits, s.split_depth, s.shards)
-                }
-            }),
-            ("parctj", &mut |sink| {
-                if counting {
-                    let s = ctj_engine
-                        .run_tallied::<Counting>(&plan, catalog, sink)
-                        .expect("runs");
-                    (s.splits, s.split_depth, s.shards)
-                } else {
-                    let s = ctj_engine
-                        .run_tallied::<NoTally>(&plan, catalog, sink)
-                        .expect("runs");
-                    (s.splits, s.split_depth, s.shards)
-                }
-            }),
-        ];
-        for (name, run) in runs {
-            let mut sink = CollectSink::new();
-            let (splits, depth, shards) = run(&mut sink);
-            assert_eq!(
-                sink.tuples(),
-                reference,
-                "{pattern}: {name} counting={counting} forced-split stream"
-            );
-            // Every split spawns exactly one shard beyond the seed, and a
-            // handoff chain is at least one generation deep.
-            assert_eq!(
-                shards,
-                1 + splits,
-                "{pattern}: {name} counting={counting} shard accounting"
-            );
-            assert!(
-                splits == 0 || depth >= 1,
-                "{pattern}: {name} split without a recorded generation"
-            );
-            if require_splits {
-                assert!(
-                    splits > 0,
-                    "{pattern}: {name} counting={counting} never split \
-                     despite three idle workers"
-                );
-            }
-            total_splits += splits;
-        }
-    }
-    total_splits
 }
 
 proptest! {
@@ -216,55 +135,51 @@ proptest! {
         let catalog = catalog_from(edges);
         check_all_parallel_engines(&catalog, Pattern::PAPER[pattern_idx]);
     }
-
-    /// Forced-split runs agree on arbitrary skewed graphs too (splits may
-    /// or may not fire on small inputs; the stream must be exact either
-    /// way).
-    #[test]
-    fn forced_split_agrees_on_skewed_graphs(
-        raw in prop::collection::vec((0u64..1_000_000, 0u64..1_000_000), 20..160),
-        pattern_idx in 0usize..Pattern::PAPER.len(),
-    ) {
-        let edges: Vec<(u32, u32)> = raw
-            .into_iter()
-            .map(|(a, b)| (power_law(a, 32), (power_law(b, 32) + 1) % 33))
-            .filter(|(a, b)| a != b)
-            .collect();
-        prop_assume!(!edges.is_empty());
-        let catalog = catalog_from(edges);
-        check_forced_split(&catalog, Pattern::PAPER[pattern_idx], false);
-    }
 }
 
-/// The acceptance workload: coarse initial shards (a single seed), pool
-/// of 4, power-law root domain heavy enough that the seed is still busy
-/// long after its siblings park. Both engines must actually split, in
-/// both tally modes, and still match the sequential stream exactly.
-#[test]
-fn forced_split_fires_and_stays_exact_on_power_law_hubs() {
-    let mut edges = Vec::new();
-    // A hub star (every vertex joined to vertex 0, both ways) plus a
-    // power-law fringe: root 0's subtree dwarfs everything, so the seed
-    // shard is guaranteed to still be running when its siblings go idle.
-    for i in 1..220u32 {
-        edges.push((0, i));
-        edges.push((i, 0));
-    }
-    for i in 1..220u32 {
-        edges.push((i, i / 2));
-    }
-    let catalog = catalog_from(edges);
-    // Cycle3 completes before the sibling workers even park (a run too
-    // short to rebalance is *supposed* to finish unsplit), so it only
-    // checks exactness; Path4's root-0 subtree keeps the seed busy long
-    // past every park, so it must split — in every engine and tally mode.
-    check_forced_split(&catalog, Pattern::Cycle3, false);
-    let splits = check_forced_split(&catalog, Pattern::Path4, true);
-    assert!(splits > 0, "the hub workload must split");
+/// `ans(x, y, z) :- R(x, y), S(y, z)` — `x` is the root variable and `R`
+/// its only depth-0 participant, so `R`'s root values alone fix how many
+/// shards the static schedule can cut.
+fn two_hop_query() -> CompiledQuery {
+    let q = Query::builder("two_hop")
+        .head(["x", "y", "z"])
+        .atom("R", ["x", "y"])
+        .atom("S", ["y", "z"])
+        .build()
+        .unwrap();
+    CompiledQuery::compile(&q).unwrap()
 }
 
-/// A directed star: the worst root-domain skew (one hub joins everything).
-/// Deterministic, so the heavy-hub path is exercised on every run.
+/// `roots` root values (`x`) fanning out to `spokes` values of `y`, where
+/// `y = 0` is a hub whose `z` subtree dwarfs the fringe. With one or two
+/// roots the whole join lives in one or two shards, so the pool cannot
+/// rebalance it and the run must still be exact.
+fn narrow_root_hub(roots: u32, spokes: u32, hub_fanout: u32) -> Catalog {
+    let mut c = Catalog::new();
+    c.insert(
+        "R",
+        Relation::from_pairs(
+            (0..roots)
+                .flat_map(|x| (0..spokes).map(move |y| (x, y)))
+                .collect::<Vec<_>>(),
+        ),
+    );
+    let mut s = Vec::new();
+    for z in 0..hub_fanout {
+        s.push((0u32, z));
+    }
+    for y in 1..spokes {
+        for z in 0..4u32 {
+            s.push((y, y.wrapping_mul(31).wrapping_add(z) % spokes));
+        }
+    }
+    c.insert("S", Relation::from_pairs(s));
+    c
+}
+
+/// Hub-shaped inputs: a directed star (the worst root-domain skew, one
+/// hub joins everything), a single-root-domain hub and a two-root hub.
+/// Deterministic, so the heavy-hub paths are exercised on every run.
 #[test]
 fn extreme_hub_skew_is_exact_at_every_pool_size() {
     let mut edges = Vec::new();
@@ -276,8 +191,15 @@ fn extreme_hub_skew_is_exact_at_every_pool_size() {
     for i in 1..40u32 {
         edges.push((i, i + 1));
     }
-    let catalog = catalog_from(edges);
+    let star = catalog_from(edges);
     for pattern in [Pattern::Cycle3, Pattern::Path4] {
-        check_all_parallel_engines(&catalog, pattern);
+        check_all_parallel_engines(&star, pattern);
+    }
+    let plan = two_hop_query();
+    for (label, catalog) in [
+        ("single-root hub", narrow_root_hub(1, 60, 400)),
+        ("two-root hub", narrow_root_hub(2, 60, 400)),
+    ] {
+        check_plan(&catalog, &plan, label);
     }
 }
