@@ -1,9 +1,10 @@
-//! Sub-root shard splitting battery: workloads whose **root domain is a
-//! single value**, so the only way a 4-worker pool can rebalance is to
-//! carve up a level *below* the root — the depth-aware handoff of this
-//! PR's tentpole. Every carved-up run must stay tuple-for-tuple identical
-//! to the sequential engines, across pool sizes, split modes and tally
-//! modes, and the acceptance workload must actually report deep splits.
+//! Single-root-domain battery: a workload whose **root domain is one
+//! value**, so the static schedule (root-range oversharding plus work
+//! stealing) can cut exactly one shard no matter how many workers the
+//! pool has or how fine the requested granularity. Nothing below the root
+//! is ever carved up, so every run must be that one shard, report zero
+//! splits, and stay tuple-for-tuple identical to the sequential engines
+//! across pool sizes and tally modes.
 
 use triejax_join::{
     Catalog, CollectSink, Counting, Ctj, JoinEngine, Lftj, NoTally, ParCtj, ParLftj,
@@ -15,10 +16,9 @@ const POOL_SIZES: [usize; 3] = [1, 2, 7];
 
 /// `ans(x, y, z) :- R(x, y), S(y, z)` — `x` is the root variable and `R`
 /// its only depth-0 participant, so giving `R` a single root value pins
-/// the root domain to exactly one shard seed. All parallelism then has to
-/// come from splitting the `y` (or `z`) level.
+/// the root domain to exactly one shard seed.
 fn single_root_query() -> CompiledQuery {
-    let q = Query::builder("deep_split")
+    let q = Query::builder("single_root")
         .head(["x", "y", "z"])
         .atom("R", ["x", "y"])
         .atom("S", ["y", "z"])
@@ -27,11 +27,9 @@ fn single_root_query() -> CompiledQuery {
     CompiledQuery::compile(&q).unwrap()
 }
 
-/// The acceptance workload: one root (`x = 0`) fanning out to `spokes`
-/// values of `y`, where `y = 0` is a hub whose `z` subtree dwarfs the
-/// fringe. The seed shard is still grinding through the hub long after
-/// its three siblings park, so the idle-sibling poll at the `y` and `z`
-/// levels is guaranteed to see takers.
+/// One root (`x = 0`) fanning out to `spokes` values of `y`, where
+/// `y = 0` is a hub whose `z` subtree dwarfs the fringe: all of the work
+/// sits under the single root value.
 fn single_root_hub(spokes: u32, hub_fanout: u32) -> Catalog {
     let mut c = Catalog::new();
     c.insert(
@@ -70,150 +68,64 @@ fn reference(plan: &CompiledQuery, catalog: &Catalog) -> Vec<Vec<u32>> {
     lftj_sink.tuples().to_vec()
 }
 
-/// Runs both parallel engines at `pool` workers with deep splitting on or
-/// off, in both tally modes, asserting the exact reference stream and the
-/// shard accounting; returns `(splits, deep_splits, split_depth)` summed
-/// over the runs.
-fn check_deep_split(
-    plan: &CompiledQuery,
-    catalog: &Catalog,
-    reference: &[Vec<u32>],
-    pool: usize,
-    split: bool,
-) -> (u64, u64, u64) {
-    let mut totals = (0, 0, 0);
-    for counting in [true, false] {
-        let mut lftj_engine = ParLftj::with_pool(pool)
-            .with_granularity(1)
-            .with_split(split)
-            .with_split_depth(if split { usize::MAX } else { 0 });
-        let mut ctj_engine = ParCtj::with_pool(pool)
-            .with_granularity(1)
-            .with_split(split)
-            .with_split_depth(if split { usize::MAX } else { 0 });
-        type Run<'a> = (
-            &'a str,
-            &'a mut dyn FnMut(&mut CollectSink) -> (u64, u64, u64, u64),
-        );
-        let runs: [Run<'_>; 2] = [
-            ("parlftj", &mut |sink| {
-                let s = if counting {
-                    lftj_engine
-                        .run_tallied::<Counting>(plan, catalog, sink)
-                        .expect("runs")
-                } else {
-                    lftj_engine
-                        .run_tallied::<NoTally>(plan, catalog, sink)
-                        .expect("runs")
-                        .to_counting()
-                };
-                (s.splits, s.deep_splits, s.split_depth, s.shards)
-            }),
-            ("parctj", &mut |sink| {
-                let s = if counting {
-                    ctj_engine
-                        .run_tallied::<Counting>(plan, catalog, sink)
-                        .expect("runs")
-                } else {
-                    ctj_engine
-                        .run_tallied::<NoTally>(plan, catalog, sink)
-                        .expect("runs")
-                        .to_counting()
-                };
-                (s.splits, s.deep_splits, s.split_depth, s.shards)
-            }),
-        ];
-        for (name, run) in runs {
-            let mut sink = CollectSink::new();
-            let (splits, deep, depth, shards) = run(&mut sink);
-            assert_eq!(
-                sink.tuples(),
-                reference,
-                "{name} pool={pool} split={split} counting={counting} stream"
-            );
-            // One seed (root domain 1), one extra shard per handoff.
-            assert_eq!(
-                shards,
-                1 + splits,
-                "{name} pool={pool} split={split} counting={counting} shards"
-            );
-            if !split {
-                assert_eq!(splits, 0, "{name}: splitting was disabled");
-            }
-            // The root has a single value, so any split here is sub-root.
-            assert_eq!(deep, splits, "{name}: every split must be deep here");
-            assert!(
-                splits == 0 || depth >= 1,
-                "{name}: split without a recorded generation"
-            );
-            totals.0 += splits;
-            totals.1 += deep;
-            totals.2 = totals.2.max(depth);
-        }
-    }
-    totals
-}
-
-/// Exactness across the full battery: pools 1/2/7 x split on/off x both
-/// tally modes, on the single-root hub. Splits may or may not fire at the
-/// smaller pool sizes — the stream must be exact either way.
+/// Exactness across the battery: pools 1/2/7 x both tally modes x both
+/// parallel engines at granularity 1 on the single-root hub. Each run is
+/// the exact sequential stream from one shard with no splits.
 #[test]
 fn deep_split_battery_is_exact_at_every_pool_size() {
     let plan = single_root_query();
     let catalog = single_root_hub(60, 400);
     let reference = reference(&plan, &catalog);
     for pool in POOL_SIZES {
-        for split in [false, true] {
-            check_deep_split(&plan, &catalog, &reference, pool, split);
+        for counting in [true, false] {
+            let mut lftj_engine = ParLftj::with_pool(pool).with_granularity(1);
+            let mut ctj_engine = ParCtj::with_pool(pool).with_granularity(1);
+            type Run<'a> = (&'a str, &'a mut dyn FnMut(&mut CollectSink) -> (u64, u64));
+            let runs: [Run<'_>; 2] = [
+                ("parlftj", &mut |sink| {
+                    let s = if counting {
+                        lftj_engine
+                            .run_tallied::<Counting>(&plan, &catalog, sink)
+                            .expect("runs")
+                    } else {
+                        lftj_engine
+                            .run_tallied::<NoTally>(&plan, &catalog, sink)
+                            .expect("runs")
+                            .to_counting()
+                    };
+                    (s.shards, s.splits)
+                }),
+                ("parctj", &mut |sink| {
+                    let s = if counting {
+                        ctj_engine
+                            .run_tallied::<Counting>(&plan, &catalog, sink)
+                            .expect("runs")
+                    } else {
+                        ctj_engine
+                            .run_tallied::<NoTally>(&plan, &catalog, sink)
+                            .expect("runs")
+                            .to_counting()
+                    };
+                    (s.shards, s.splits)
+                }),
+            ];
+            for (name, run) in runs {
+                let mut sink = CollectSink::new();
+                let (shards, splits) = run(&mut sink);
+                assert_eq!(
+                    sink.tuples(),
+                    reference,
+                    "{name} pool={pool} counting={counting} stream"
+                );
+                assert_eq!(
+                    shards, 1,
+                    "{name} pool={pool} counting={counting}: a one-value root domain is one shard"
+                );
+                assert_eq!(
+                    splits, 0,
+                    "{name} pool={pool} counting={counting}: the static schedule never splits"
+                );
+            }
         }
-    }
-}
-
-/// The acceptance criterion: on the single-root hub with a 4-worker pool
-/// and granularity-1 seeding, both engines must report `splits > 0` with
-/// `split_depth >= 1` and `deep_splits > 0` — the donated ranges all live
-/// below the root — while the merged stream stays exactly sequential.
-#[test]
-fn sub_root_splits_fire_on_the_single_root_hub() {
-    let plan = single_root_query();
-    let catalog = single_root_hub(260, 26_000);
-    let reference = reference(&plan, &catalog);
-    let (splits, deep, depth) = check_deep_split(&plan, &catalog, &reference, 4, true);
-    assert!(splits > 0, "the single-root hub must split below the root");
-    assert_eq!(deep, splits);
-    assert!(
-        depth >= 1,
-        "a deep handoff chain must record its generation"
-    );
-}
-
-/// Deep splitting is opt-in: with a depth cap of 0 (the built-in
-/// default, pinned here so an ambient `TRIEJAX_SPLIT_DEPTH` can't lift
-/// it), a root domain of one value can never split, so the run degrades
-/// to the sequential fast path — exact, with zero splits.
-#[test]
-fn depth_cap_zero_keeps_single_root_runs_sequential() {
-    let plan = single_root_query();
-    let catalog = single_root_hub(60, 400);
-    let reference = reference(&plan, &catalog);
-    for counting in [true, false] {
-        let mut sink = CollectSink::new();
-        let mut engine = ParLftj::with_pool(4)
-            .with_granularity(1)
-            .with_split(true)
-            .with_split_depth(0);
-        let stats = if counting {
-            engine
-                .run_tallied::<Counting>(&plan, &catalog, &mut sink)
-                .expect("runs")
-        } else {
-            engine
-                .run_tallied::<NoTally>(&plan, &catalog, &mut sink)
-                .expect("runs")
-                .to_counting()
-        };
-        assert_eq!(sink.tuples(), reference);
-        assert_eq!(stats.splits, 0, "nothing above the root to carve");
-        assert_eq!(stats.deep_splits, 0);
     }
 }
